@@ -122,8 +122,9 @@ def cmd_train(args) -> int:
 def _instance_checks(inst: GameInstance, which: str, delta: float | None) -> list[Inequality]:
     checks: list[Inequality] = []
     if which in ("channel", "all"):
-        for l, ((dist, _), noise) in enumerate(zip(inst.data_parts, inst.noise_per_part)):
-            report = channel_bound_check(dist, noise)
+        parts = zip(inst.data_parts, inst.noise_per_part, inst.noised_parts())
+        for l, ((dist, _), noise, noised) in enumerate(parts):
+            report = channel_bound_check(dist, noise, noised)
             checks.append(
                 Inequality(
                     name=f"part{l}_channel_tv",

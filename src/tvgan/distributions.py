@@ -12,13 +12,13 @@ nothing here touches global randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
-# Support points are merged by coordinate equality after rounding to this many
-# decimal digits; avoids float-identity fragility in convolutions.
-KEY_DECIMALS = 12
+# Two coordinates merge when they differ by at most MERGE_RTOL * max(1, |a|, |b|),
+# so roundoff in a Minkowski sum never splits an atom, near 0 as near 1e6.
+MERGE_RTOL = 1e-12
 
 PROB_TOL = 1e-12
 
@@ -27,14 +27,41 @@ class UnsupportedSlabError(ValueError):
     """Raised when an operation needs a finite-support slab but got a continuous one."""
 
 
-def point_key(point) -> tuple:
-    """Hashable identity of a support point (rounded coordinates)."""
-    return tuple(round(float(c), KEY_DECIMALS) for c in np.atleast_1d(point))
+def canonicalize(rows: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Merge coincident rows: ``(support [K, d], inverse [n], one [K] mass per weights)``.
+
+    Each coordinate is clustered on its own (``_clusters``); rows sharing their cluster in every
+    coordinate are one atom. Atoms are in lexicographic order, each its first row in input order.
+    """
+    inverse = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        ids, _ = _clusters(col, MERGE_RTOL)
+        inverse, first = _clusters(inverse * (ids.max() + 1) + ids, 0.0)  # below len(rows) ** 2
+    masses = [np.bincount(inverse, weights=w, minlength=first.size) for w in weights]
+    return (rows[first], inverse, *masses)
+
+
+def _clusters(values: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster id of each value, by value, and each cluster's first index in stable sort order.
+
+    Sorted, a new cluster starts where a value exceeds the last by over ``rtol * max(1, |a|, |b|)``.
+    """
+    order = values.argsort(kind="stable")
+    s = values[order]
+    mag = np.abs(s)
+    new = np.empty(s.size, dtype=bool)
+    new[0], new[1:] = True, s[1:] - s[:-1] > rtol * np.maximum(1.0, np.maximum(mag[1:], mag[:-1]))
+    ids = np.empty(s.size, dtype=np.int64)
+    ids[order] = np.add.accumulate(new, dtype=np.int64) - 1
+    return ids, order[new]
 
 
 @dataclass
 class DiscreteDist:
-    """Exact finite-support probability table on points in R^d."""
+    """Exact finite-support probability table on points in R^d.
+
+    No two points may lie within ``MERGE_RTOL * max(1, |v|)`` of each other in every coordinate.
+    """
 
     support: np.ndarray  # [m, d]
     probs: np.ndarray    # [m]
@@ -48,26 +75,22 @@ class DiscreteDist:
         self.probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if self.probs.shape[0] != self.support.shape[0]:
             raise ValueError("support and probs lengths differ")
-        if np.any(self.probs < 0):
-            raise ValueError("probabilities must be nonnegative")
+        if not np.isfinite(self.support).all():
+            raise ValueError("support points must be finite")
+        if not (self.probs >= 0).all():
+            raise ValueError("probabilities must be nonnegative numbers")
         total = float(self.probs.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        keys = [point_key(p) for p in self.support]
-        if len(set(keys)) != len(keys):
+        if canonicalize(self.support)[0].shape[0] != self.support.shape[0]:
             raise ValueError("support points must be pairwise distinct")
 
     @property
     def dimension(self) -> int:
         return self.support.shape[1]
 
-    def items(self) -> Iterable[tuple[tuple, float]]:
-        """Iterate (rounded point key, probability)."""
-        for point, prob in zip(self.support, self.probs):
-            yield point_key(point), float(prob)
-
     def prob_table(self) -> dict[tuple, float]:
-        return dict(self.items())
+        return dict(zip(map(tuple, self.support.tolist()), self.probs.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -77,11 +100,21 @@ class DiscreteDist:
         }
 
 
-def _dist_from_table(table: dict[tuple, float]) -> DiscreteDist:
-    keys = sorted(k for k, v in table.items() if v > 0)
-    support = np.array(keys, dtype=np.float64)
-    probs = np.array([table[k] for k in keys], dtype=np.float64)
-    return DiscreteDist(support, probs)
+def _law(rows: np.ndarray, weights: np.ndarray) -> DiscreteDist:
+    """Weighted rows as a law, merged, zero masses dropped; unvalidated: its atoms are distinct."""
+    support, _, masses = canonicalize(rows, weights)
+    law = DiscreteDist.__new__(DiscreteDist)
+    law.support, law.probs = support[masses > 0], masses[masses > 0]
+    return law
+
+
+def align(p: DiscreteDist, q: DiscreteDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of two supports and each law's mass on it (0 off its own support)."""
+    m = p.probs.size
+    pw, qw = np.zeros((2, m + q.probs.size))
+    pw[:m], qw[m:] = p.probs, q.probs
+    support, _, pv, qv = canonicalize(np.vstack([p.support, q.support]), pw, qw)
+    return support, pv, qv
 
 
 def mixture(parts: list[tuple[DiscreteDist, float]]) -> DiscreteDist:
@@ -89,11 +122,8 @@ def mixture(parts: list[tuple[DiscreteDist, float]]) -> DiscreteDist:
     weights = np.array([w for _, w in parts], dtype=np.float64)
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > PROB_TOL:
         raise ValueError("mixture weights must be nonnegative and sum to 1")
-    table: dict[tuple, float] = {}
-    for dist, weight in parts:
-        for key, prob in dist.items():
-            table[key] = table.get(key, 0.0) + weight * prob
-    return _dist_from_table(table)
+    rows = np.vstack([dist.support for dist, _ in parts])
+    return _law(rows, np.concatenate([w * dist.probs for dist, w in parts]))
 
 
 # --- slabs ------------------------------------------------------------------
@@ -147,12 +177,12 @@ def slab_dimension(slab: SlabSpec) -> int:
     raise TypeError(f"not a slab spec: {type(slab).__name__}")
 
 
-def slab_atoms(slab: SlabSpec) -> list[tuple[np.ndarray, float]]:
-    """Finite-support slabs as (point, probability) atoms; others are rejected."""
+def slab_atoms(slab: SlabSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-support slabs as (points [k, d], probabilities [k]); others are rejected."""
     if isinstance(slab, PointMassSlab):
-        return [(slab.offset, 1.0)]
+        return slab.offset.reshape(1, -1), np.ones(1)
     if isinstance(slab, DiscreteDist):
-        return [(p, float(q)) for p, q in zip(slab.support, slab.probs)]
+        return slab.support, slab.probs
     raise UnsupportedSlabError(
         f"{type(slab).__name__} has continuous support; exact convolution needs "
         "a point-mass or discrete slab"
@@ -249,27 +279,18 @@ def discrete_convolve(p_x: DiscreteDist, noise: SpikeSlabNoise) -> DiscreteDist:
 
     The output support is the Minkowski sum of the input support and the
     channel atoms ({0} with mass 1 - gamma plus the slab atoms scaled by
-    gamma); coincident sums are merged.
+    gamma); sums within ``MERGE_RTOL * max(1, |v|)`` of each other in every
+    coordinate are merged, at any magnitude (see ``canonicalize``).
     """
-    atoms = slab_atoms(noise.slab)
-    if slab_dimension(noise.slab) != p_x.dimension:
-        raise ValueError(
-            f"slab dimension {slab_dimension(noise.slab)} does not match "
-            f"distribution dimension {p_x.dimension}"
-        )
-    zero = np.zeros(p_x.dimension)
-    z_atoms: dict[tuple, float] = {point_key(zero): 1.0 - noise.gamma}
-    for point, q in atoms:
-        key = point_key(point)
-        z_atoms[key] = z_atoms.get(key, 0.0) + noise.gamma * q
-    table: dict[tuple, float] = {}
-    for x, px in zip(p_x.support, p_x.probs):
-        for z_key, pz in z_atoms.items():
-            if pz == 0.0:
-                continue
-            key = point_key(x + np.asarray(z_key))
-            table[key] = table.get(key, 0.0) + float(px) * pz
-    return _dist_from_table(table)
+    points, q = slab_atoms(noise.slab)
+    d = p_x.dimension
+    if points.shape[1] != d:
+        raise ValueError(f"slab and distribution dimensions differ: {points.shape[1]} vs {d}")
+    z = np.vstack([np.zeros((1, d)), points])
+    pz = np.concatenate([[1.0 - noise.gamma], noise.gamma * q])
+    z, pz = z[pz > 0], pz[pz > 0]
+    rows = (p_x.support[:, None, :] + z[None, :, :]).reshape(-1, d)
+    return _law(rows, np.outer(p_x.probs, pz).reshape(-1))
 
 
 # --- dataset specs ----------------------------------------------------------
@@ -330,9 +351,12 @@ class FileDataset:
 
     def load(self) -> np.ndarray:
         if self._samples is None:
-            self._samples = np.loadtxt(self.path, ndmin=2, dtype=np.float64)
-            if self._samples.size == 0:
+            samples = np.loadtxt(self.path, ndmin=2, dtype=np.float64)
+            if samples.size == 0:
                 raise ValueError(f"dataset file {self.path} is empty")
+            if not np.isfinite(samples).all():
+                raise ValueError(f"dataset file {self.path} has non-finite values")
+            self._samples = samples
         return self._samples
 
 

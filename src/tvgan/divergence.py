@@ -1,9 +1,9 @@
 """Total variation and Jensen-Shannon divergence, exact and histogram-estimated.
 
 Exact versions operate on finite-support distributions over the union of both
-supports. The histogram estimator bins low-dimensional sample sets on a shared
-grid and applies the same exact formulas to the binned laws. All divergences
-are in natural log units; JSD therefore lives in [0, ln 2].
+supports (``distributions.align``). The histogram estimator bins low-dimensional
+sample sets on a shared grid and applies the same exact formulas to the binned
+laws. All divergences are in natural log units; JSD therefore lives in [0, ln 2].
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDist
+from .distributions import DiscreteDist, align
 
 LN2 = float(np.log(2.0))
 
@@ -21,27 +21,17 @@ LN2 = float(np.log(2.0))
 MAX_ESTIMATOR_DIM = 3
 
 
-def _aligned(p: DiscreteDist, q: DiscreteDist) -> tuple[np.ndarray, np.ndarray]:
-    """Probability vectors of p and q over the union support (missing = 0)."""
-    table_p = p.prob_table()
-    table_q = q.prob_table()
-    keys = sorted(set(table_p) | set(table_q))
-    pv = np.array([table_p.get(k, 0.0) for k in keys])
-    qv = np.array([table_q.get(k, 0.0) for k in keys])
-    return pv, qv
-
-
 def _tv_arrays(pv: np.ndarray, qv: np.ndarray) -> float:
     # Clamp away rounding overshoot; mathematically the value is in [0, 1].
     return float(min(1.0, 0.5 * np.abs(pv - qv).sum()))
 
 
 def _jsd_arrays(pv: np.ndarray, qv: np.ndarray) -> float:
-    m = 0.5 * (pv + qv)
+    total = pv + qv  # 2v / total is v / m, but finite where m underflows (a mass of 5e-324)
     terms = 0.0
     for v in (pv, qv):
         pos = v > 0
-        terms += float(np.sum(v[pos] * np.log(v[pos] / m[pos])))
+        terms += float(np.sum(v[pos] * np.log(2.0 * v[pos] / total[pos])))
     # Cancellation can push the sum a few ulp outside [0, ln 2]; clamp so
     # sqrt(jsd) and the budget comparisons never see a stray sign.
     return float(min(LN2, max(0.0, 0.5 * terms)))
@@ -49,7 +39,7 @@ def _jsd_arrays(pv: np.ndarray, qv: np.ndarray) -> float:
 
 def tv_discrete(p: DiscreteDist, q: DiscreteDist) -> float:
     """Half the L1 distance between the probability tables; in [0, 1]."""
-    pv, qv = _aligned(p, q)
+    _, pv, qv = align(p, q)
     return _tv_arrays(pv, qv)
 
 
@@ -58,7 +48,7 @@ def jsd_discrete(p: DiscreteDist, q: DiscreteDist) -> float:
 
     Conventions: 0 * log(0 / m) = 0; the result lies in [0, ln 2].
     """
-    pv, qv = _aligned(p, q)
+    _, pv, qv = align(p, q)
     return _jsd_arrays(pv, qv)
 
 

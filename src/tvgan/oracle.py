@@ -12,19 +12,20 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import chain, combinations, islice
+from typing import Mapping
 
 import numpy as np
 
 from .distributions import (
     DiscreteDist,
     SpikeSlabNoise,
+    align,
     discrete_convolve,
     discrete_dist_from_dict,
     mixture,
     noise_from_dict,
     noise_to_dict,
-    point_key,
 )
 from .divergence import jsd_discrete, tv_discrete
 
@@ -40,7 +41,10 @@ _CLIP = 1e-12
 
 @dataclass
 class GameInstance:
-    """Weighted data parts, their noise channels, and a candidate generator law."""
+    """Weighted data parts, their noise channels, and a candidate generator law.
+
+    Noised parts and mixtures are computed once, on first use: do not mutate an instance.
+    """
 
     data_parts: list[tuple[DiscreteDist, float]]  # (distribution, alpha)
     noise_per_part: list[SpikeSlabNoise]
@@ -64,18 +68,20 @@ class GameInstance:
 
     def noised_parts(self) -> list[DiscreteDist]:
         """Each data part pushed through its channel, computed exactly."""
-        return [
-            discrete_convolve(dist, noise)
-            for (dist, _), noise in zip(self.data_parts, self.noise_per_part)
-        ]
+        if "_noised_parts" not in vars(self):
+            parts = [dist for dist, _ in self.data_parts]
+            self._noised_parts = list(map(discrete_convolve, parts, self.noise_per_part))
+        return self._noised_parts
 
     def clean_mixture(self) -> DiscreteDist:
-        return mixture(self.data_parts)
+        if "_clean_mixture" not in vars(self):
+            self._clean_mixture = mixture(self.data_parts)
+        return self._clean_mixture
 
     def noised_mixture(self) -> DiscreteDist:
-        return mixture(
-            [(nd, a) for nd, (_, a) in zip(self.noised_parts(), self.data_parts)]
-        )
+        if "_noised_mixture" not in vars(self):
+            self._noised_mixture = mixture(list(zip(self.noised_parts(), self.alphas)))
+        return self._noised_mixture
 
     def to_dict(self) -> dict:
         return {
@@ -99,21 +105,20 @@ class GameInstance:
         )
 
 
+def _xlog_share(x: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Elementwise ``x * log(x / total)``, and 0 where ``x`` is 0."""
+    return x * np.log(np.divide(x, total, out=np.ones_like(total), where=x > 0))
+
+
 def optimal_discriminator(inst: GameInstance) -> dict[tuple, float]:
     """Best-response discriminator: noised-data mass over total mass, per point.
 
     Points carrying neither data nor generator mass are absent from the map;
     they contribute nothing to the game value.
     """
-    mix = inst.noised_mixture().prob_table()
-    gen = inst.p_g.prob_table()
-    out = {}
-    for key in set(mix) | set(gen):
-        a = mix.get(key, 0.0)
-        b = gen.get(key, 0.0)
-        if a + b > 0:
-            out[key] = a / (a + b)
-    return out
+    support, a, b = align(inst.noised_mixture(), inst.p_g)
+    keep = a + b > 0
+    return dict(zip(map(tuple, support[keep].tolist()), (a[keep] / (a + b)[keep]).tolist()))
 
 
 def game_value(inst: GameInstance, discriminator: Mapping[tuple, float]) -> float:
@@ -121,22 +126,13 @@ def game_value(inst: GameInstance, discriminator: Mapping[tuple, float]) -> floa
 
     ``E_mix[log D] + E_gen[log(1 - D)]`` with D clamped into (0, 1) so the
     value stays finite for saturated tables. The table must cover every point
-    that carries mass.
+    that carries mass, keyed like ``optimal_discriminator``.
     """
-    mix = inst.noised_mixture().prob_table()
-    gen = inst.p_g.prob_table()
-    total = 0.0
-    for key in set(mix) | set(gen):
-        a = mix.get(key, 0.0)
-        b = gen.get(key, 0.0)
-        if a + b == 0:
-            continue
-        d = min(max(float(discriminator[key]), _CLIP), 1.0 - _CLIP)
-        if a > 0:
-            total += a * np.log(d)
-        if b > 0:
-            total += b * np.log(1.0 - d)
-    return float(total)
+    support, a, b = align(inst.noised_mixture(), inst.p_g)
+    keep = a + b > 0
+    a, b = a[keep], b[keep]
+    d = np.clip([discriminator[k] for k in map(tuple, support[keep].tolist())], _CLIP, 1.0 - _CLIP)
+    return float(np.sum(a[a > 0] * np.log(d[a > 0])) + np.sum(b[b > 0] * np.log(1.0 - d[b > 0])))
 
 
 def optimal_value(inst: GameInstance) -> float:
@@ -146,29 +142,13 @@ def optimal_value(inst: GameInstance) -> float:
     it always equals ``-log 4 + 2 * JSD(noised mixture, generator)`` up to
     roundoff, and -log 4 exactly when the two laws coincide.
     """
-    mix = inst.noised_mixture().prob_table()
-    gen = inst.p_g.prob_table()
-    total = 0.0
-    for key in set(mix) | set(gen):
-        a = mix.get(key, 0.0)
-        b = gen.get(key, 0.0)
-        if a > 0:
-            total += a * np.log(a / (a + b))
-        if b > 0:
-            total += b * np.log(b / (a + b))
-    return float(total)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    _, a, b = align(inst.noised_mixture(), inst.p_g)
+    total = a + b
+    return float(np.sum(_xlog_share(a, total)) + np.sum(_xlog_share(b, total)))
 
 
 MAX_GRID_SUPPORT = 4
+GRID_BLOCK = 4096  # candidates scored per block in grid_minimize
 
 
 @dataclass
@@ -184,9 +164,11 @@ def grid_minimize(p_data: DiscreteDist, grid_step: float) -> GridMinimum:
     """Enumerate every generator law on the grid and minimize the game value.
 
     The grid is all probability vectors over ``p_data``'s support whose
-    coordinates are multiples of ``grid_step``. Ties go to the first candidate
-    in lexicographic order. Supports larger than 4 points are refused;
-    enumeration is combinatorial.
+    coordinates are multiples of ``grid_step``, scored ``GRID_BLOCK`` at a
+    time so memory does not grow with the grid. Candidates share the data
+    law's support points, so no ``MERGE_RTOL`` merging applies. Ties go to
+    the first candidate in lexicographic order. Supports larger than 4
+    points are refused; enumeration is combinatorial.
     """
     m = p_data.support.shape[0]
     if m > MAX_GRID_SUPPORT:
@@ -199,21 +181,23 @@ def grid_minimize(p_data: DiscreteDist, grid_step: float) -> GridMinimum:
     if abs(k * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step {grid_step} does not evenly divide 1")
     pd = p_data.probs
-    best_probs = None
-    best_value = np.inf
-    count = 0
-    for counts in _compositions(k, m):
-        pg = np.asarray(counts, dtype=np.float64) / k
-        value = 0.0
-        for a, b in zip(pd, pg):
-            if a > 0:
-                value += a * np.log(a / (a + b))
-            if b > 0:
-                value += b * np.log(b / (a + b))
-        count += 1
-        if value < best_value:
-            best_value = value
-            best_probs = pg
+    best_value, best_probs, count = np.inf, None, 0
+    # Stars and bars: a composition of k into m parts is m - 1 bar positions
+    # among k + m - 1 slots, and both come in the same lexicographic order.
+    blocks = combinations(range(k + m - 1), m - 1)
+    while block := list(islice(blocks, GRID_BLOCK)):
+        bars = np.fromiter(chain.from_iterable(block), np.int64).reshape(len(block), m - 1)
+        pg = (np.diff(bars, axis=1, prepend=-1, append=k + m - 1) - 1) / k
+        total = pd + pg
+        data_terms, gen_terms = _xlog_share(pd, total), _xlog_share(pg, total)
+        values = np.zeros(len(pg))
+        for j in range(m):  # the order of the per-candidate scalar sum: data_0, gen_0, data_1, ...
+            values += data_terms[:, j]
+            values += gen_terms[:, j]
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best_value, best_probs = values[i], pg[i]
+        count += len(pg)
     return GridMinimum(
         minimizer=DiscreteDist(p_data.support.copy(), best_probs),
         min_value=float(best_value),
@@ -230,9 +214,11 @@ class ChannelBoundReport:
     satisfied: bool
 
 
-def channel_bound_check(p_x: DiscreteDist, noise: SpikeSlabNoise) -> ChannelBoundReport:
-    """Verify that the spike-and-slab channel moved at most ``gamma`` of mass."""
-    tv = tv_discrete(p_x, discrete_convolve(p_x, noise))
+def channel_bound_check(
+    p_x: DiscreteDist, noise: SpikeSlabNoise, noised: DiscreteDist | None = None
+) -> ChannelBoundReport:
+    """Verify the channel moved at most ``gamma`` of mass (``noised``: its output, if known)."""
+    tv = tv_discrete(p_x, discrete_convolve(p_x, noise) if noised is None else noised)
     return ChannelBoundReport(tv=tv, gamma=noise.gamma, satisfied=tv <= noise.gamma + INEQ_TOL)
 
 

@@ -96,6 +96,17 @@ class TestTrainCommand:
         assert code == 2
         capsys.readouterr()
 
+    def test_non_finite_dataset_file_is_usage_error(self, tmp_path, capsys):
+        rows = tmp_path / "rows.txt"
+        rows.write_text("0.0 0.0\n1.0 nan\n")
+        config = _write_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["datasets"][0]["spec"] = {"kind": "file", "path": str(rows)}
+        config.write_text(json.dumps(raw))
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "rows.txt" in capsys.readouterr().err
+
     def test_tiny_run_writes_all_artifacts(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         out = tmp_path / "run"

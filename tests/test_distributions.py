@@ -9,18 +9,23 @@ import numpy as np
 import pytest
 
 from tvgan import distributions as dist
-from tvgan.divergence import tv_discrete
+from tvgan.divergence import jsd_discrete, tv_discrete
+
+
+def _hand_key(point):
+    """The brute-force reference's own point identity: coordinates rounded to 12 decimals."""
+    return tuple(round(float(c), 12) for c in point)
 
 
 def _convolve_by_hand(p_x, noise):
     """Brute-force law of X + Z: loop over all atom pairs and accumulate."""
     table = {}
     pairs = [(np.zeros(p_x.dimension), 1.0 - noise.gamma)]
-    for point, q in dist.slab_atoms(noise.slab):
+    for point, q in zip(*dist.slab_atoms(noise.slab)):
         pairs.append((np.atleast_1d(point), noise.gamma * q))
     for x, px in zip(p_x.support, p_x.probs):
         for z, pz in pairs:
-            key = dist.point_key(x + z)
+            key = _hand_key(x + z)
             table[key] = table.get(key, 0.0) + float(px) * pz
     return {k: v for k, v in table.items() if v > 0}
 
@@ -44,7 +49,7 @@ class TestDiscreteDist:
             dist.DiscreteDist(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
 
     def test_near_duplicates_merge_under_rounded_keys(self):
-        """Points closer than the 12-decimal key resolution count as equal."""
+        """Points within the merge tolerance (1e-12 near zero) count as equal."""
         with pytest.raises(ValueError):
             dist.DiscreteDist(np.array([0.0, 1e-13]), np.array([0.5, 0.5]))
 
@@ -54,9 +59,30 @@ class TestDiscreteDist:
         assert table[(0.0, 0.0)] == 0.25
         assert table[(1.0, 2.0)] == 0.75
 
-    def test_point_key_rounding(self):
-        assert dist.point_key([0.123456789012345]) == (0.123456789012,)
-        assert dist.point_key([1e-13]) == (0.0,)
+    def test_near_duplicates_at_large_magnitude_rejected(self):
+        """The merge tolerance scales with magnitude: 1e-9 apart at 1e6 is one point."""
+        with pytest.raises(ValueError):
+            dist.DiscreteDist(np.array([1e6, 1e6 + 1e-9]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_near_duplicates_found_whatever_lies_between_them(self, shift):
+        """In lexicographic order (s, 7) sits between (s, 5) and (s + eps, 5);
+        the duplicate pair is still found."""
+        eps = 1e-13 if shift == 0.0 else 1e-9
+        support = np.array([[shift, 5.0], [shift, 7.0], [shift + eps, 5.0]])
+        with pytest.raises(ValueError):
+            dist.DiscreteDist(support, np.full(3, 1 / 3))
+
+    def test_points_just_outside_the_tolerance_stay_distinct(self):
+        d = dist.DiscreteDist(np.array([1e6, 1e6 + 1e-5, 1e-11]), np.array([0.25, 0.25, 0.5]))
+        assert d.support.shape == (3, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_support_or_probs_rejected(self, bad):
+        with pytest.raises(ValueError):
+            dist.DiscreteDist(np.array([0.0, bad]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            dist.DiscreteDist(np.array([0.0, 1.0]), np.array([bad, 0.5]))
 
 
 class TestMixture:
@@ -245,6 +271,37 @@ class TestDiscreteConvolve:
         out = dist.discrete_convolve(p, dist.SpikeSlabNoise(0.3, dist.PointMassSlab(np.array([1.0]))))
         assert tv_discrete(p, out) == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+    def test_coincident_sums_merge_at_every_magnitude(self, shift):
+        """{s + 0.1, s + 0.3} through a +0.2 point mass at gamma = 1/2: the
+        shifted s + 0.1 lands on s + 0.3 (up to roundoff), so the output has
+        three atoms and the TV is exactly 1/4, not 1/2, at every shift s."""
+        p = dist.DiscreteDist(np.array([shift + 0.1, shift + 0.3]), np.array([0.5, 0.5]))
+        noise = dist.SpikeSlabNoise(0.5, dist.PointMassSlab(np.array([0.2])))
+        out = dist.discrete_convolve(p, noise)
+        assert out.support.shape == (3, 1)
+        np.testing.assert_array_equal(out.probs, [0.25, 0.5, 0.25])
+        assert tv_discrete(p, out) == 0.25
+
+    def test_divergences_do_not_depend_on_a_common_shift(self):
+        """Decimal offsets, several of whose sums coincide, give the same
+        support size, TV and JSD at shifts 0, 1e3 and 1e6."""
+        base = np.array([[0.1, 0.0], [0.3, 0.2], [0.7, -0.4], [1.1, 0.2]])
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        offsets = np.array([[0.2, 0.2], [0.4, -0.6], [-0.6, 0.0]])
+        slab = dist.DiscreteDist(offsets, np.array([0.5, 0.3, 0.2]))
+        noise = dist.SpikeSlabNoise(0.35, slab)
+        results = []
+        for shift in (0.0, 1e3, 1e6):
+            p = dist.DiscreteDist(base + shift, probs)
+            out = dist.discrete_convolve(p, noise)
+            results.append((out.support.shape[0], tv_discrete(p, out), jsd_discrete(p, out)))
+        assert results[0][0] < base.shape[0] * 4, "the instance must merge some sums"
+        for size, tv, jsd in results[1:]:
+            assert size == results[0][0]
+            assert tv == pytest.approx(results[0][1], abs=1e-12)
+            assert jsd == pytest.approx(results[0][2], abs=1e-12)
+
     def test_continuous_slab_rejected(self):
         p = dist.DiscreteDist(np.array([0.0]), np.array([1.0]))
         noise = dist.SpikeSlabNoise(0.5, dist.GaussianSlab(np.array([1.0])))
@@ -320,6 +377,13 @@ class TestDatasets:
         file_rows = {(0.5, 1.5), (2.5, 3.5), (-1.0, 0.0)}
         for row in x:
             assert tuple(row) in file_rows
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_file_dataset_rejects_non_finite_rows(self, tmp_path, bad):
+        path = tmp_path / "rows.txt"
+        path.write_text(f"0.5 1.5\n{bad} 3.5\n")
+        with pytest.raises(ValueError, match="rows.txt"):
+            dist.FileDataset(str(path)).load()
 
     def test_file_dataset_missing_file(self):
         spec = dist.FileDataset("/nonexistent/rows.txt")

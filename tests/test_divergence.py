@@ -72,6 +72,14 @@ class TestExactJensenShannon:
         assert got == pytest.approx(by_hand, abs=1e-15)
         assert got == pytest.approx(JSD_HALF_VS_SURE, abs=1e-12)
 
+    def test_smallest_subnormal_mass_contributes_nothing(self):
+        """A mass of 5e-324 has a midpoint that underflows to 0; the JSD stays
+        about 0, not ln 2, and below the TV as the chain of bounds needs."""
+        p = _law([0.0], [1.0])
+        q = _law([0.0, 1.0], [1.0, 5e-324])
+        assert dv.jsd_discrete(p, q) == pytest.approx(0.0, abs=1e-300)
+        assert dv.jsd_discrete(p, q) <= dv.tv_discrete(p, q)
+
     def test_zero_mass_atoms_contribute_nothing(self):
         """Adding a zero-probability atom to one law changes nothing."""
         p = _law([0.0, 1.0], [0.5, 0.5])

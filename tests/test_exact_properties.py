@@ -1,0 +1,90 @@
+"""Property tests of the exact layer on random finite-support laws.
+
+Support points are multiples of 0.1 (inexact in binary), so Minkowski sums
+collide only up to roundoff and every property exercises the merging of
+coincident points. Example counts are bounded to keep the suite fast.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tvgan import distributions as dist
+from tvgan.divergence import jsd_discrete, tv_discrete
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def laws(draw, dim):
+    m = draw(st.integers(1, 6))
+    points = st.tuples(*[st.integers(-8, 8)] * dim)
+    cells = draw(st.lists(points, min_size=m, max_size=m, unique=True))
+    weights = np.array(draw(st.lists(st.integers(1, 20), min_size=m, max_size=m)), dtype=float)
+    return dist.DiscreteDist(np.array(cells, dtype=float) * 0.1, weights / weights.sum())
+
+
+@st.composite
+def law_and_channel(draw):
+    dim = draw(st.integers(1, 2))
+    gamma = draw(st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        offset = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        slab = dist.PointMassSlab(np.array(offset) * 0.1)
+    else:
+        slab = draw(laws(dim))
+    return draw(laws(dim)), dist.SpikeSlabNoise(gamma, slab)
+
+
+def _same_law(a, b):
+    assert a.support.shape == b.support.shape
+    np.testing.assert_allclose(a.support, b.support, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(a.probs, b.probs, rtol=0, atol=1e-14)
+
+
+@SETTINGS
+@given(law_and_channel())
+def test_convolve_conserves_mass_and_keeps_tv_within_gamma(case):
+    p, noise = case
+    out = dist.discrete_convolve(p, noise)
+    assert np.all(out.probs > 0)
+    assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert tv_discrete(p, out) <= noise.gamma + 1e-12
+    # The output is a valid law: re-validation finds no coincident atoms.
+    dist.DiscreteDist(out.support, out.probs)
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda d: st.lists(laws(d), min_size=1, max_size=4)), st.data())
+def test_mixture_conserves_mass(parts, data):
+    raw = np.array(data.draw(st.lists(st.integers(1, 9), min_size=len(parts), max_size=len(parts))))
+    mixed = dist.mixture(list(zip(parts, raw / raw.sum())))
+    assert mixed.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert mixed.support.shape[0] <= sum(p.support.shape[0] for p in parts)
+    dist.DiscreteDist(mixed.support, mixed.probs)
+
+
+@SETTINGS
+@given(law_and_channel(), st.randoms(use_true_random=False))
+def test_reordering_support_rows_changes_nothing(case, rnd):
+    p, noise = case
+    perm = np.array(rnd.sample(range(p.probs.size), p.probs.size))
+    shuffled = dist.DiscreteDist(p.support[perm], p.probs[perm])
+    out = dist.discrete_convolve(p, noise)
+    _same_law(dist.discrete_convolve(shuffled, noise), out)
+    assert tv_discrete(shuffled, out) == pytest.approx(tv_discrete(p, out), abs=1e-14)
+    assert jsd_discrete(shuffled, out) == pytest.approx(jsd_discrete(p, out), abs=1e-14)
+
+
+@SETTINGS
+@given(law_and_channel(), st.sampled_from([1e3, -1e3, 1e6, -1e6]))
+def test_common_translation_changes_nothing(case, shift):
+    p, noise = case
+    moved = dist.DiscreteDist(p.support + shift, p.probs)
+    out, out_moved = dist.discrete_convolve(p, noise), dist.discrete_convolve(moved, noise)
+    assert out_moved.support.shape == out.support.shape
+    np.testing.assert_allclose(out_moved.support - shift, out.support, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(out_moved.probs, out.probs, rtol=0, atol=1e-14)
+    assert tv_discrete(moved, out_moved) == pytest.approx(tv_discrete(p, out), abs=1e-12)
+    assert jsd_discrete(moved, out_moved) == pytest.approx(jsd_discrete(p, out), abs=1e-12)

@@ -403,3 +403,54 @@ class TestGameInstance:
         again = oracle.GameInstance.from_dict(inst.to_dict())
         assert again.to_dict() == inst.to_dict()
         assert oracle.optimal_value(again) == oracle.optimal_value(inst)
+
+
+def _grid_by_hand(p_data, grid_step):
+    """Reference enumeration: every composition in lexicographic order, one
+    scalar game value each, the first strict minimum kept."""
+    k, m = round(1.0 / grid_step), p_data.probs.size
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    best, best_value, count = None, np.inf, 0
+    for counts in compositions(k, m):
+        pg = np.asarray(counts, dtype=np.float64) / k
+        value = 0.0
+        for a, b in zip(p_data.probs, pg):
+            if a > 0:
+                value += a * np.log(a / (a + b))
+            if b > 0:
+                value += b * np.log(b / (a + b))
+        count += 1
+        if value < best_value:
+            best, best_value = pg, value
+    return best, best_value, count
+
+
+class TestGridBlocks:
+    @pytest.mark.parametrize("block", [1, 7, oracle.GRID_BLOCK])
+    @pytest.mark.parametrize(
+        "probs, step",
+        [
+            ([1 / 3, 1 / 3, 1 / 3], 0.25),
+            ([0.1, 0.2, 0.3, 0.4], 0.1),
+            ([0.37, 0.63], 0.05),
+            ([0.25, 0.0, 0.75], 0.125),
+        ],
+    )
+    def test_blocked_scoring_matches_the_scalar_loop(self, monkeypatch, block, probs, step):
+        """Any block size, ties included (the uniform law has three equal
+        minima on the 0.25 grid), gives the scalar loop's minimizer and count."""
+        monkeypatch.setattr(oracle, "GRID_BLOCK", block)
+        p = _law(np.arange(len(probs)), probs)
+        want_probs, want_value, want_count = _grid_by_hand(p, step)
+        result = oracle.grid_minimize(p, step)
+        np.testing.assert_array_equal(result.minimizer.probs, want_probs)
+        assert result.min_value == pytest.approx(want_value, abs=1e-15)
+        assert result.candidates == want_count
