@@ -53,12 +53,13 @@ from .nn import (
     save_checkpoint,
 )
 from .oracle import (
-    ChannelBoundReport,
     GameInstance,
     GridMinimum,
+    Inequality,
     channel_bound_check,
     game_value,
     grid_minimize,
+    instance_checks,
     mixture_chain_check,
     optimal_discriminator,
     optimal_value,

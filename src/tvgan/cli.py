@@ -9,6 +9,7 @@ sufficient to reproduce it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -20,17 +21,7 @@ import numpy as np
 from . import __version__, nn
 from .distributions import GaussianMixture, MixtureComponent, Ring, dataset_spec_from_dict, sample_dataset
 from .divergence import DivergenceReport, HistogramEstimator, estimate_divergences
-from .oracle import (
-    CHAIN_CSV_HEADER,
-    GameInstance,
-    Inequality,
-    channel_bound_check,
-    jsd_discrete,
-    mixture_chain_check,
-    optimal_value,
-    LOG4,
-    VALUE_TOL,
-)
+from .oracle import CHAIN_CSV_HEADER, GameInstance, instance_checks
 from .training import TrainConfig, train
 
 
@@ -84,13 +75,11 @@ def _load_samples(path: str) -> np.ndarray:
 def cmd_train(args) -> int:
     raw = _load_json(args.config)
     try:
+        if args.seed is not None:
+            raw = {**raw, "seed": args.seed}
         config = TrainConfig.from_dict(raw)
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"{args.config}: {exc}") from exc
-    if args.seed is not None:
-        raw_with_seed = dict(raw)
-        raw_with_seed["seed"] = args.seed
-        config = TrainConfig.from_dict(raw_with_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
@@ -119,34 +108,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _instance_checks(inst: GameInstance, which: str, delta: float | None) -> list[Inequality]:
-    checks: list[Inequality] = []
-    if which in ("channel", "all"):
-        parts = zip(inst.data_parts, inst.noise_per_part, inst.noised_parts())
-        for l, ((dist, _), noise, noised) in enumerate(parts):
-            report = channel_bound_check(dist, noise, noised)
-            checks.append(
-                Inequality(
-                    name=f"part{l}_channel_tv",
-                    lhs=report.tv,
-                    rhs=report.gamma,
-                    holds=report.satisfied,
-                )
-            )
-    if which in ("value", "all"):
-        gap = abs(
-            optimal_value(inst) - (-LOG4 + 2.0 * jsd_discrete(inst.noised_mixture(), inst.p_g))
-        )
-        checks.append(
-            Inequality(name="value_identity", lhs=gap, rhs=VALUE_TOL, holds=gap <= VALUE_TOL)
-        )
-    if which in ("chain", "all"):
-        if delta is None:
-            delta = max(n.gamma for n in inst.noise_per_part)
-        checks.extend(mixture_chain_check(inst, delta).inequalities)
-    return checks
-
-
 def cmd_oracle(args) -> int:
     raw = _load_json(args.instance)
     try:
@@ -154,7 +115,7 @@ def cmd_oracle(args) -> int:
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"{args.instance}: {exc}") from exc
     try:
-        checks = _instance_checks(inst, args.check, args.delta)
+        checks = instance_checks(inst, args.check, args.delta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     lines = [CHAIN_CSV_HEADER] + [c.csv_row() for c in checks]
@@ -252,7 +213,14 @@ def cmd_gradcheck(args) -> int:
     return 0 if err <= args.tol else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.
+
+    Each subcommand's name is stored in ``args.command``, and ``main`` looks
+    up ``cmd_<name>`` in this module at call time, so a command replaced on
+    the module after the parser was built is still the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="tvgan",
         description="Divergence-budgeted adversarial training toolkit.",
@@ -263,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="JSON training config")
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_train.set_defaults(func=cmd_train)
 
     p_oracle = sub.add_parser("oracle", help="exact checks on a discrete game instance")
     p_oracle.add_argument("--instance", required=True, help="JSON game instance")
@@ -274,10 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="which inequality family to verify",
     )
     p_oracle.add_argument(
-        "--delta", type=float, default=None, help="budget for the chain check (default: max gamma)"
+        "--delta", type=float, default=None, help="chain-check budget in [0, 1] (default: max gamma)"
     )
     p_oracle.add_argument("--out", default=None, help="write the CSV report here instead of stdout")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_div = sub.add_parser("divergence", help="histogram TV/JSD between two sample files")
     p_div.add_argument("samples_p", help="first sample file (text rows)")
@@ -291,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-dimension bounds; default: data range",
     )
     p_div.add_argument("--smoothing", type=float, default=1e-9, help="pseudo-count per bin")
-    p_div.set_defaults(func=cmd_divergence)
 
     p_sample = sub.add_parser("sample", help="draw samples from a dataset spec")
     p_sample.add_argument("spec", help="JSON spec file, or preset: ring, gaussian")
@@ -300,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--radius", type=float, default=1.0, help="ring preset radius")
     p_sample.add_argument("--noise-std", type=float, default=0.05, help="ring preset jitter")
     p_sample.add_argument("--out", default=None, help="write samples here instead of stdout")
-    p_sample.set_defaults(func=cmd_sample)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     p_grad.add_argument("--sizes", default="2,8,8,1", help="comma-separated layer widths")
@@ -308,20 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
     p_grad.add_argument("--tol", type=float, default=1e-6, help="pass threshold")
-    p_grad.set_defaults(func=cmd_gradcheck)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

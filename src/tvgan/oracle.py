@@ -11,6 +11,7 @@ against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Mapping
@@ -39,11 +40,24 @@ VALUE_TOL = 1e-9
 _CLIP = 1e-12
 
 
+def _kept(method):
+    """A no-argument method whose result is computed on first use and kept on the instance."""
+    key = f"_{method.__name__}"
+
+    @functools.wraps(method)
+    def kept(self):
+        if key not in vars(self):
+            setattr(self, key, method(self))
+        return vars(self)[key]
+
+    return kept
+
+
 @dataclass
 class GameInstance:
     """Weighted data parts, their noise channels, and a candidate generator law.
 
-    Noised parts and mixtures are computed once, on first use: do not mutate an instance.
+    Noised parts, mixtures and shared divergences are computed once: do not mutate an instance.
     """
 
     data_parts: list[tuple[DiscreteDist, float]]  # (distribution, alpha)
@@ -66,22 +80,34 @@ class GameInstance:
     def alphas(self) -> np.ndarray:
         return np.array([a for _, a in self.data_parts])
 
+    @_kept
     def noised_parts(self) -> list[DiscreteDist]:
         """Each data part pushed through its channel, computed exactly."""
-        if "_noised_parts" not in vars(self):
-            parts = [dist for dist, _ in self.data_parts]
-            self._noised_parts = list(map(discrete_convolve, parts, self.noise_per_part))
-        return self._noised_parts
+        channels = zip(self.data_parts, self.noise_per_part)
+        return [discrete_convolve(dist, noise) for (dist, _), noise in channels]
 
+    @_kept
     def clean_mixture(self) -> DiscreteDist:
-        if "_clean_mixture" not in vars(self):
-            self._clean_mixture = mixture(self.data_parts)
-        return self._clean_mixture
+        return mixture(self.data_parts)
 
+    @_kept
     def noised_mixture(self) -> DiscreteDist:
-        if "_noised_mixture" not in vars(self):
-            self._noised_mixture = mixture(list(zip(self.noised_parts(), self.alphas)))
-        return self._noised_mixture
+        return mixture(list(zip(self.noised_parts(), self.alphas)))
+
+    @_kept
+    def part_tvs(self) -> list[float]:
+        """TV(clean part, noised part) per part: the mass each channel moved."""
+        return [tv_discrete(dist, nd) for (dist, _), nd in zip(self.data_parts, self.noised_parts())]
+
+    @_kept
+    def mixture_jsd(self) -> float:
+        """JSD(clean mixture, noised mixture)."""
+        return jsd_discrete(self.clean_mixture(), self.noised_mixture())
+
+    @_kept
+    def generator_jsd(self) -> float:
+        """JSD(noised mixture, generator)."""
+        return jsd_discrete(self.noised_mixture(), self.p_g)
 
     def to_dict(self) -> dict:
         return {
@@ -206,23 +232,6 @@ def grid_minimize(p_data: DiscreteDist, grid_step: float) -> GridMinimum:
 
 
 @dataclass
-class ChannelBoundReport:
-    """Exact TV between a law and its noised image, against the channel budget."""
-
-    tv: float
-    gamma: float
-    satisfied: bool
-
-
-def channel_bound_check(
-    p_x: DiscreteDist, noise: SpikeSlabNoise, noised: DiscreteDist | None = None
-) -> ChannelBoundReport:
-    """Verify the channel moved at most ``gamma`` of mass (``noised``: its output, if known)."""
-    tv = tv_discrete(p_x, discrete_convolve(p_x, noise) if noised is None else noised)
-    return ChannelBoundReport(tv=tv, gamma=noise.gamma, satisfied=tv <= noise.gamma + INEQ_TOL)
-
-
-@dataclass
 class Inequality:
     name: str
     lhs: float
@@ -253,35 +262,62 @@ def _ineq(name: str, lhs: float, rhs: float, tol: float = INEQ_TOL) -> Inequalit
     return Inequality(name=name, lhs=float(lhs), rhs=float(rhs), holds=lhs <= rhs + tol)
 
 
+def channel_bound_check(p_x: DiscreteDist, noise: SpikeSlabNoise) -> Inequality:
+    """TV between a law and its noised image, against the channel budget ``gamma``."""
+    return _ineq("channel_tv", tv_discrete(p_x, discrete_convolve(p_x, noise)), noise.gamma)
+
+
+def _check_delta(inst: GameInstance, delta: float) -> None:
+    if not 0.0 <= delta <= 1.0:  # also refuses nan
+        raise ValueError(f"delta must be a finite number in [0, 1], got {delta}")
+    gammas = [n.gamma for n in inst.noise_per_part]
+    if any(g > delta + INEQ_TOL for g in gammas):
+        raise ValueError(f"every channel gamma must be <= delta={delta}, got {gammas}")
+
+
 def mixture_chain_check(inst: GameInstance, delta: float) -> ChainReport:
     """Verify the full divergence chain from per-part budgets to the generator.
 
     Exact discrete computation of, in order: per-part TV within the budget,
     mixture TV below the weighted per-part TVs (concavity), the weighted sum
     below delta, JSD below TV for the clean/noised mixture pair, and the
-    triangle inequality for the square root of JSD.
+    triangle inequality for the square root of JSD. ``delta`` lies in [0, 1].
     """
-    gammas = [n.gamma for n in inst.noise_per_part]
-    if any(g > delta + INEQ_TOL for g in gammas):
-        raise ValueError(f"every channel gamma must be <= delta={delta}, got {gammas}")
-    noised = inst.noised_parts()
-    alphas = inst.alphas
-    part_tvs = [
-        tv_discrete(dist, nd) for (dist, _), nd in zip(inst.data_parts, noised)
-    ]
-    checks = [
-        _ineq(f"part{l}_tv_budget", tv, delta) for l, tv in enumerate(part_tvs)
-    ]
+    _check_delta(inst, delta)
+    part_tvs = inst.part_tvs()
+    checks = [_ineq(f"part{l}_tv_budget", tv, delta) for l, tv in enumerate(part_tvs)]
     p_mix = inst.clean_mixture()
-    p_mix_noised = inst.noised_mixture()
-    tv_mix = tv_discrete(p_mix, p_mix_noised)
-    weighted = float(np.dot(alphas, part_tvs))
+    tv_mix = tv_discrete(p_mix, inst.noised_mixture())
+    weighted = float(np.dot(inst.alphas, part_tvs))
     checks.append(_ineq("mixture_tv_concavity", tv_mix, weighted))
     checks.append(_ineq("weighted_tv_budget", weighted, delta))
-    checks.append(_ineq("jsd_le_tv", jsd_discrete(p_mix, p_mix_noised), tv_mix))
+    checks.append(_ineq("jsd_le_tv", inst.mixture_jsd(), tv_mix))
     sqrt_total = np.sqrt(jsd_discrete(p_mix, inst.p_g))
-    sqrt_parts = np.sqrt(jsd_discrete(p_mix_noised, inst.p_g)) + np.sqrt(
-        jsd_discrete(p_mix, p_mix_noised)
-    )
+    sqrt_parts = np.sqrt(inst.generator_jsd()) + np.sqrt(inst.mixture_jsd())
     checks.append(_ineq("sqrt_jsd_triangle", sqrt_total, sqrt_parts))
     return ChainReport(checks)
+
+
+def instance_checks(
+    inst: GameInstance, which: str = "all", delta: float | None = None
+) -> list[Inequality]:
+    """Every exact check of an instance, as report rows: ``which`` is ``channel``
+    (``part{l}_channel_tv``), ``value`` (``value_identity``), ``chain`` (the
+    rows of ``mixture_chain_check``, ``delta`` defaulting to the largest
+    gamma) or ``all`` three in that order. Shared divergences are computed once.
+    """
+    if which not in ("all", "channel", "value", "chain"):
+        raise ValueError(f"unknown check family {which!r}")
+    if delta is None:
+        delta = max(n.gamma for n in inst.noise_per_part)
+    _check_delta(inst, delta)
+    checks: list[Inequality] = []
+    if which in ("channel", "all"):
+        for l, (tv, noise) in enumerate(zip(inst.part_tvs(), inst.noise_per_part)):
+            checks.append(_ineq(f"part{l}_channel_tv", tv, noise.gamma))
+    if which in ("value", "all"):
+        gap = abs(optimal_value(inst) - (-LOG4 + 2.0 * inst.generator_jsd()))
+        checks.append(_ineq("value_identity", gap, VALUE_TOL, tol=0.0))
+    if which in ("chain", "all"):
+        checks.extend(mixture_chain_check(inst, delta).inequalities)
+    return checks

@@ -58,6 +58,28 @@ def _write_instance(tmp_path, name="instance.json", alpha=1.0, gamma=0.0,
     return path
 
 
+def _write_parts_instance(tmp_path, parts, name="parts.json"):
+    """``parts`` two-atom parts at 10 l and 10 l + 1, channel l shifting
+    mass 0.1 (l + 1) by +1."""
+    def law(support, probs):
+        return {"kind": "discrete", "support": [[x] for x in support], "probs": probs}
+
+    inst = {
+        "data_parts": [
+            {"dist": law([10.0 * l, 10.0 * l + 1.0], [0.5, 0.5]), "alpha": 1.0 / parts}
+            for l in range(parts)
+        ],
+        "noise": [
+            {"gamma": 0.1 * (l + 1), "slab": {"kind": "point_mass", "offset": [1.0]}}
+            for l in range(parts)
+        ],
+        "p_g": law([0.0, 1.0], [0.5, 0.5]),
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(inst))
+    return path
+
+
 class TestParserBasics:
     def test_no_command_is_a_usage_error(self, capsys):
         assert cli.main([]) == 2
@@ -72,6 +94,31 @@ class TestParserBasics:
         out = capsys.readouterr().out
         for command in ("train", "oracle", "divergence", "sample", "gradcheck"):
             assert command in out
+
+    def test_consecutive_calls_do_not_leak_values(self, tmp_path, capsys):
+        """The parser is built once; each call still starts from the defaults."""
+        inst = _write_instance(tmp_path)
+
+        def budget_rhs(argv):
+            assert cli.main(argv) == 0
+            rows = capsys.readouterr().out.strip().splitlines()[1:]
+            return {row.split(",")[2] for row in rows if row.split(",")[0].endswith("_budget")}
+
+        chain = ["oracle", "--instance", str(inst), "--check", "chain"]
+        assert budget_rhs(chain + ["--delta", "0.3"]) == {"0.3"}
+        assert cli.main(["gradcheck", "--sizes", "2,3,1"]) == 0
+        capsys.readouterr()
+        assert budget_rhs(chain) == {"0.0"}
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_command_patched_after_a_call_is_the_one_that_runs(self, tmp_path, monkeypatch, capsys):
+        inst = _write_instance(tmp_path)
+        assert cli.main(["oracle", "--instance", str(inst)]) == 0
+        capsys.readouterr()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_oracle", lambda args: seen.append(args.instance) or 7)
+        assert cli.main(["oracle", "--instance", str(inst)]) == 7
+        assert seen == [str(inst)]
 
 
 class TestTrainCommand:
@@ -174,6 +221,28 @@ class TestTrainCommand:
             rows = list(csv.reader(fh))
         assert len(rows) == 1
 
+    def test_seed_override_parses_the_config_once(self, tmp_path, monkeypatch, capsys):
+        config = _write_config(tmp_path, epochs=0)
+        parse = TrainConfig.from_dict
+        calls = []
+        monkeypatch.setattr(TrainConfig, "from_dict", staticmethod(lambda d: calls.append(d) or parse(d)))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out), "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 7
+        want = parse({**json.loads(config.read_text()), "seed": 7}).to_dict()
+        assert manifest["config"] == want
+
+    @pytest.mark.parametrize("content", ["{}", "[1, 2]"])
+    def test_bad_config_with_seed_is_usage_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "run"), "--seed", "1"])
+        assert code == 2
+        assert "bad.json" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_matched_zero_noise_instance_passes_all_checks(self, tmp_path, capsys):
@@ -228,6 +297,40 @@ class TestOracleCommand:
     def test_missing_instance_file(self, tmp_path, capsys):
         assert cli.main(["oracle", "--instance", str(tmp_path / "none.json")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-0.1", "1.5"])
+    def test_delta_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, delta):
+        inst = _write_instance(tmp_path)
+        code = cli.main(["oracle", "--instance", str(inst), "--check", "chain", "--delta", delta])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta" in captured.err
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_all_checks_rows_in_report_order(self, tmp_path, capsys, parts):
+        inst = _write_parts_instance(tmp_path, parts)
+        assert cli.main(["oracle", "--instance", str(inst)]) == 0
+        names = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        channel = [f"part{l}_channel_tv" for l in range(parts)]
+        budget = [f"part{l}_tv_budget" for l in range(parts)]
+        tail = ["mixture_tv_concavity", "weighted_tv_budget", "jsd_le_tv", "sqrt_jsd_triangle"]
+        assert names == channel + ["value_identity"] + budget + tail
+        for family, want in (("channel", channel), ("value", ["value_identity"]), ("chain", budget + tail)):
+            assert cli.main(["oracle", "--instance", str(inst), "--check", family]) == 0
+            assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == want
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_each_divergence_is_aligned_once(self, tmp_path, monkeypatch, capsys, parts):
+        """P part TVs, the mixture TV, and three JSDs: P + 4 TV/JSD alignments."""
+        from tvgan import divergence
+
+        inst = _write_parts_instance(tmp_path, parts)
+        align, calls = divergence.align, []
+        monkeypatch.setattr(divergence, "align", lambda p, q: calls.append(1) or align(p, q))
+        assert cli.main(["oracle", "--instance", str(inst), "--check", "all"]) == 0
+        capsys.readouterr()
+        assert len(calls) == parts + 4
 
 
 class TestDivergenceCommand:

@@ -52,14 +52,17 @@ def _random_noise(rng):
     return dist.SpikeSlabNoise(gamma, slab)
 
 
-def _random_instance(rng, max_parts=3):
-    parts = int(rng.integers(1, max_parts + 1))
+def _instance_with_parts(rng, parts):
     alphas = rng.dirichlet(np.ones(parts) * 5.0)
     return oracle.GameInstance(
         data_parts=[(_random_law(rng), float(a)) for a in alphas],
         noise_per_part=[_random_noise(rng) for _ in range(parts)],
         p_g=_random_law(rng),
     )
+
+
+def _random_instance(rng, max_parts=3):
+    return _instance_with_parts(rng, int(rng.integers(1, max_parts + 1)))
 
 
 class TestOptimalDiscriminator:
@@ -260,24 +263,24 @@ class TestChannelBound:
         p = _law([0.0, 1.0], [0.5, 0.5])
         noise = dist.SpikeSlabNoise(0.0, dist.PointMassSlab(np.array([1.0])))
         report = oracle.channel_bound_check(p, noise)
-        assert report.tv == 0.0
-        assert report.satisfied
+        assert report.lhs == 0.0
+        assert report.holds
 
     def test_disjoint_shift_attains_gamma(self):
         p = _law([0.0, 10.0], [0.5, 0.5])
         noise = dist.SpikeSlabNoise(0.3, dist.PointMassSlab(np.array([1.0])))
         report = oracle.channel_bound_check(p, noise)
-        assert report.tv == pytest.approx(0.3, abs=1e-15)
-        assert report.gamma == 0.3
-        assert report.satisfied
+        assert report.lhs == pytest.approx(0.3, abs=1e-15)
+        assert report.rhs == 0.3
+        assert report.holds
 
     def test_overlapping_shift_stays_strictly_inside(self):
         """{0, 1} shifted by +1 at gamma = 1/2 only moves 1/4 of the mass."""
         p = _law([0.0, 1.0], [0.5, 0.5])
         noise = dist.SpikeSlabNoise(0.5, dist.PointMassSlab(np.array([1.0])))
         report = oracle.channel_bound_check(p, noise)
-        assert report.tv == pytest.approx(0.25, abs=1e-15)
-        assert report.satisfied
+        assert report.lhs == pytest.approx(0.25, abs=1e-15)
+        assert report.holds
 
     def test_bound_holds_on_random_channels(self):
         rng = np.random.default_rng(55)
@@ -285,8 +288,8 @@ class TestChannelBound:
             p = _random_law(rng)
             noise = _random_noise(rng)
             report = oracle.channel_bound_check(p, noise)
-            assert report.satisfied, (
-                f"trial {trial}: tv {report.tv} exceeded gamma {report.gamma}"
+            assert report.holds, (
+                f"trial {trial}: tv {report.lhs} exceeded gamma {report.rhs}"
             )
 
 
@@ -365,6 +368,70 @@ class TestChainCheck:
             row = check.csv_row()
             assert len(row.split(",")) == n_cols
             assert row.startswith(check.name)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.1, 1.5])
+    def test_delta_outside_the_unit_interval_rejected(self, delta):
+        p = _law([0.0, 1.0], [0.5, 0.5])
+        inst = _single_part(p, p)
+        with pytest.raises(ValueError, match="delta"):
+            oracle.mixture_chain_check(inst, delta)
+
+
+def _fresh(inst):
+    """The same instance with nothing computed yet."""
+    return oracle.GameInstance.from_dict(inst.to_dict())
+
+
+class TestInstanceChecks:
+    def test_rows_equal_the_independent_functions_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for trial in range(30):
+            inst = _random_instance(rng)
+            parts = len(inst.data_parts)
+            delta = max(n.gamma for n in inst.noise_per_part)
+            rows = oracle.instance_checks(inst)
+            want = [
+                oracle.channel_bound_check(p, noise)
+                for (p, _), noise in zip(inst.data_parts, inst.noise_per_part)
+            ]
+            again = _fresh(inst)
+            gap = abs(
+                oracle.optimal_value(again)
+                - (-oracle.LOG4 + 2.0 * jsd_discrete(again.noised_mixture(), again.p_g))
+            )
+            want.append(oracle.Inequality("value_identity", gap, oracle.VALUE_TOL, gap <= oracle.VALUE_TOL))
+            want += oracle.mixture_chain_check(_fresh(inst), delta).inequalities
+            assert len(rows) == len(want) == 2 * parts + 5
+            for row, ref in zip(rows, want):
+                assert (row.lhs, row.rhs, row.holds) == (ref.lhs, ref.rhs, ref.holds), (
+                    f"trial {trial}: {row.name}"
+                )
+                assert row.csv_row().split(",")[1:] == ref.csv_row().split(",")[1:]
+
+    @pytest.mark.parametrize("family", ["all", "channel", "value", "chain"])
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_delta_outside_the_unit_interval_rejected(self, family, delta):
+        inst = _instance_with_parts(np.random.default_rng(5), 2)
+        with pytest.raises(ValueError, match="delta"):
+            oracle.instance_checks(inst, family, delta)
+
+    def test_unknown_family_rejected(self):
+        inst = _instance_with_parts(np.random.default_rng(6), 1)
+        with pytest.raises(ValueError):
+            oracle.instance_checks(inst, "everything")
+
+    def test_optimal_value_does_not_call_the_jsd(self, monkeypatch):
+        """The value identity compares two independent computations."""
+        from tvgan import divergence
+
+        def refuse(*args):
+            raise AssertionError("optimal_value went through the JSD")
+
+        inst = _instance_with_parts(np.random.default_rng(7), 2)
+        want = oracle.optimal_value(_fresh(inst))
+        for module, name in ((oracle, "jsd_discrete"), (divergence, "jsd_discrete"), (divergence, "_jsd_arrays")):
+            monkeypatch.setattr(module, name, refuse)
+        assert oracle.optimal_value(inst) == want
 
 
 class TestGameInstance:
