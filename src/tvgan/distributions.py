@@ -313,7 +313,13 @@ class MixtureComponent:
 
 @dataclass
 class GaussianMixture:
+    """Diagonal Gaussian mixture. The sampling arrays (stacked means, stacked
+    standard deviations, normalized weights) are built once, at construction."""
+
     components: list[MixtureComponent]
+    _means: np.ndarray = field(init=False, repr=False, compare=False)
+    _stds: np.ndarray = field(init=False, repr=False, compare=False)
+    _probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -324,6 +330,9 @@ class GaussianMixture:
         dims = {c.mean.shape[0] for c in self.components}
         if len(dims) != 1:
             raise ValueError("all components must share one dimension")
+        self._means = np.stack([c.mean for c in self.components])
+        self._stds = np.sqrt(np.stack([c.cov_diag for c in self.components]))
+        self._probs = weights / weights.sum()
 
 
 @dataclass
@@ -380,10 +389,8 @@ def sample_dataset(spec: DatasetSpec, n: int, rng: np.random.Generator) -> np.nd
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(spec, GaussianMixture):
-        weights = np.array([c.weight for c in spec.components])
-        means = np.stack([c.mean for c in spec.components])
-        stds = np.sqrt(np.stack([c.cov_diag for c in spec.components]))
-        which = rng.choice(len(spec.components), size=n, p=weights / weights.sum())
+        means, stds = spec._means, spec._stds
+        which = rng.choice(len(spec.components), size=n, p=spec._probs)
         return means[which] + stds[which] * rng.standard_normal((n, means.shape[1]))
     if isinstance(spec, Ring):
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)

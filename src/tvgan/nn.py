@@ -2,13 +2,15 @@
 
 Everything is float64 and pure: functions take parameter containers and return
 new ones, so callers own all state. Batches are 2-D numpy arrays with one
-sample per row.
+sample per row. Each network, its gradients and its Adam moments are held as
+one contiguous vector laid out W0, b0, W1, b1, ... row-major (the checkpoint
+blob's layout); the per-layer arrays are views into it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -28,9 +30,7 @@ class ShapeMismatchError(ValueError):
         self.layer = layer
         self.expected = tuple(expected)
         self.actual = tuple(actual)
-        super().__init__(
-            f"layer {layer}: expected shape {self.expected}, got {self.actual}"
-        )
+        super().__init__(f"layer {layer}: expected shape {self.expected}, got {self.actual}")
 
 
 class NonFiniteError(ValueError):
@@ -89,22 +89,45 @@ class Layer:
         return self.weights.shape[1]
 
 
+def _unchecked(cls, **attrs):
+    """An instance of dataclass ``cls`` from parts already validated, skipping its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
+def _split(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, biases) views of ``flat`` in W0, b0, W1, b1, ... order, one
+    pair per ``(fan_in, fan_out)`` in ``shapes``."""
+    views, start = [], 0
+    for fan_in, fan_out in shapes:
+        mid = start + fan_in * fan_out
+        views.append((flat[start:mid].reshape(fan_in, fan_out), flat[mid : mid + fan_out]))
+        start = mid + fan_out
+    return views
+
+
 @dataclass
 class MlpParams:
-    """A stack of dense layers with chained dimensions."""
+    """A stack of dense layers with chained dimensions, held in one vector.
+
+    ``flat`` holds every parameter; each layer's ``weights`` and ``biases``
+    are views into it, so edit them in place (``layer.biases += 0.25``) and
+    never rebind them.
+    """
 
     layers: list[Layer]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        for i in range(len(self.layers) - 1):
-            if self.layers[i].fan_out != self.layers[i + 1].fan_in:
-                raise ShapeMismatchError(
-                    i + 1,
-                    (self.layers[i].fan_out, self.layers[i + 1].fan_out),
-                    self.layers[i + 1].weights.shape,
-                )
+        for i, (a, b) in enumerate(zip(self.layers, self.layers[1:]), start=1):
+            if a.fan_out != b.fan_in:
+                raise ShapeMismatchError(i, (a.fan_out, b.fan_out), b.weights.shape)
+        self.flat = np.concatenate([a.ravel() for l in self.layers for a in (l.weights, l.biases)])
+        for layer, (w, b) in zip(self.layers, _split(self.flat, _shapes(self))):
+            layer.weights, layer.biases = w, b
 
     @property
     def input_dim(self) -> int:
@@ -115,9 +138,20 @@ class MlpParams:
         return self.layers[-1].fan_out
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            [Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in self.layers]
-        )
+        return _wrap(self, self.flat.copy())
+
+
+def _shapes(params: MlpParams) -> list[tuple[int, int]]:
+    return [l.weights.shape for l in params.layers]
+
+
+def _wrap(like: MlpParams, flat: np.ndarray) -> MlpParams:
+    """Params shaped like ``like`` over the vector ``flat``, which becomes theirs."""
+    layers = [
+        _unchecked(Layer, weights=w, biases=b, activation=l.activation)
+        for l, (w, b) in zip(like.layers, _split(flat, _shapes(like)))
+    ]
+    return _unchecked(MlpParams, layers=layers, flat=flat)
 
 
 @dataclass
@@ -126,6 +160,27 @@ class LayerGrads:
 
     weights: np.ndarray
     biases: np.ndarray
+
+
+class FlatGrads(list):
+    """A list of :class:`LayerGrads` that are views into one vector ``flat``,
+    laid out like ``MlpParams.flat``; edit them in place, never rebind them."""
+
+    def __init__(self, like: MlpParams, flat: np.ndarray):
+        super().__init__(LayerGrads(w, b) for w, b in _split(flat, _shapes(like)))
+        self.flat = flat
+
+
+def _as_vector(grads: list[LayerGrads]) -> np.ndarray:
+    """``grads`` as one vector laid out like ``MlpParams.flat``."""
+    if isinstance(grads, FlatGrads):
+        return grads.flat
+    return np.concatenate([a.ravel() for g in grads for a in (g.weights, g.biases)], dtype=np.float64)
+
+
+def _first_non_finite_layer(params: MlpParams, vec: np.ndarray) -> int:
+    ends = np.cumsum([l.weights.size + l.biases.size for l in params.layers])
+    return int(np.searchsorted(ends, np.argmin(np.isfinite(vec)), side="right"))
 
 
 @dataclass
@@ -154,11 +209,8 @@ def init_mlp(sizes: Sequence[int], activations: Sequence[str], rng: np.random.Ge
 
 
 def _sigmoid(pre: np.ndarray) -> np.ndarray:
-    out = np.empty_like(pre)
-    pos = pre >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
-    ex = np.exp(pre[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(pre))  # in (0, 1]: neither branch can overflow
+    out = np.where(pre >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
     # keep strictly inside (0, 1); saturation would make log-losses infinite
     return np.clip(out, LOG_EPS, 1.0 - LOG_EPS)
 
@@ -191,12 +243,10 @@ def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, ForwardCache]:
     for i, layer in enumerate(params.layers):
         if h.shape[1] != layer.fan_in:
             raise ShapeMismatchError(i, (h.shape[0], layer.fan_in), h.shape)
-        pre = h @ layer.weights + layer.biases
-        post = _activate(layer.activation, pre)
         inputs.append(h)
-        pres.append(pre)
-        posts.append(post)
-        h = post
+        pres.append(h @ layer.weights + layer.biases)
+        h = _activate(layer.activation, pres[-1])
+        posts.append(h)
     if not np.all(np.isfinite(h)):
         raise NonFiniteError("forward output", layer=len(params.layers) - 1)
     return h, ForwardCache(inputs, pres, posts)
@@ -204,31 +254,29 @@ def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, ForwardCache]:
 
 def mlp_backward(
     params: MlpParams, cache: ForwardCache, output_grad: np.ndarray
-) -> tuple[list[LayerGrads], np.ndarray]:
+) -> tuple[FlatGrads, np.ndarray]:
     """Reverse-mode pass: exact derivatives of the forward map.
 
-    ``output_grad`` is d(loss)/d(output); returns per-layer parameter gradients
-    and the gradient with respect to the batch input.
+    ``output_grad`` is d(loss)/d(output); returns the parameter gradients (as
+    :class:`FlatGrads`) and the gradient with respect to the batch input.
     """
     output_grad = _as_f64(output_grad)
     last = len(params.layers) - 1
     if output_grad.shape != cache.posts[last].shape:
         raise ShapeMismatchError(last, cache.posts[last].shape, output_grad.shape)
-    grads: list[LayerGrads | None] = [None] * len(params.layers)
+    grads = FlatGrads(params, np.empty_like(params.flat))
     da = output_grad
     for i in range(last, -1, -1):
-        layer = params.layers[i]
+        layer, g = params.layers[i], grads[i]
         dpre = da * _activation_grad(layer.activation, cache.pres[i], cache.posts[i])
-        grads[i] = LayerGrads(cache.inputs[i].T @ dpre, dpre.sum(axis=0))
+        np.matmul(cache.inputs[i].T, dpre, out=g.weights)
+        dpre.sum(axis=0, out=g.biases)
         da = dpre @ layer.weights.T
-    return grads, da  # type: ignore[return-value]
+    return grads, da
 
 
-def zero_grads(params: MlpParams) -> list[LayerGrads]:
-    return [
-        LayerGrads(np.zeros_like(l.weights), np.zeros_like(l.biases))
-        for l in params.layers
-    ]
+def zero_grads(params: MlpParams) -> FlatGrads:
+    return FlatGrads(params, np.zeros_like(params.flat))
 
 
 def add_grads(total: list[LayerGrads], extra: list[LayerGrads]) -> list[LayerGrads]:
@@ -241,7 +289,7 @@ def add_grads(total: list[LayerGrads], extra: list[LayerGrads]) -> list[LayerGra
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments for one network."""
+    """Bias-corrected Adam moments for one network, each a :class:`FlatGrads`."""
 
     lr: float
     beta1: float
@@ -259,15 +307,8 @@ def init_adam(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
-    return AdamState(
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-        step_count=0,
-        first_moment=zero_grads(params),
-        second_moment=zero_grads(params),
-    )
+    m, v = (FlatGrads(params, np.zeros_like(params.flat)) for _ in range(2))
+    return AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, first_moment=m, second_moment=v)
 
 
 def adam_step(
@@ -285,43 +326,26 @@ def adam_step(
         raise ValueError(f"direction must be 'ascend' or 'descend', got {direction!r}")
     if len(grads) != len(params.layers):
         raise ValueError("gradient list length does not match layer count")
-    sign = 1.0 if direction == "ascend" else -1.0
+    for i, (layer, g) in enumerate(zip(params.layers, grads)):
+        for have, want in ((g.weights, layer.weights), (g.biases, layer.biases)):
+            if have.shape != want.shape:
+                raise ShapeMismatchError(i, want.shape, have.shape)
+    g = _as_vector(grads)
+    if not np.isfinite(g).all():
+        raise NonFiniteError("gradients", layer=_first_non_finite_layer(params, g))
     t = state.step_count + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    new_layers, new_m, new_v = [], [], []
-    for i, (layer, g, m, v) in enumerate(
-        zip(params.layers, grads, state.first_moment, state.second_moment)
-    ):
-        if g.weights.shape != layer.weights.shape or g.biases.shape != layer.biases.shape:
-            raise ShapeMismatchError(i, layer.weights.shape, g.weights.shape)
-        if not (np.all(np.isfinite(g.weights)) and np.all(np.isfinite(g.biases))):
-            raise NonFiniteError("gradients", layer=i)
-        updated = []
-        moments_m, moments_v = [], []
-        for value, grad, m_old, v_old in (
-            (layer.weights, g.weights, m.weights, v.weights),
-            (layer.biases, g.biases, m.biases, v.biases),
-        ):
-            m_new = state.beta1 * m_old + (1.0 - state.beta1) * grad
-            v_new = state.beta2 * v_old + (1.0 - state.beta2) * grad * grad
-            step = state.lr * (m_new / bc1) / (np.sqrt(v_new / bc2) + state.epsilon)
-            updated.append(value + sign * step)
-            moments_m.append(m_new)
-            moments_v.append(v_new)
-        new_layers.append(Layer(updated[0], updated[1], layer.activation))
-        new_m.append(LayerGrads(*moments_m))
-        new_v.append(LayerGrads(*moments_v))
-    new_state = AdamState(
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-        step_count=t,
-        first_moment=new_m,
-        second_moment=new_v,
+    m = state.beta1 * _as_vector(state.first_moment) + (1.0 - state.beta1) * g
+    v = state.beta2 * _as_vector(state.second_moment) + (1.0 - state.beta2) * g * g
+    step = state.lr * (m / (1.0 - state.beta1**t)) / (
+        np.sqrt(v / (1.0 - state.beta2**t)) + state.epsilon
     )
-    return MlpParams(new_layers), new_state
+    flat = params.flat + step if direction == "ascend" else params.flat - step
+    if not np.isfinite(flat).all():
+        raise NonFiniteError("layer parameters", layer=_first_non_finite_layer(params, flat))
+    new_state = replace(
+        state, step_count=t, first_moment=FlatGrads(params, m), second_moment=FlatGrads(params, v)
+    )
+    return _wrap(params, flat), new_state
 
 
 LossFn = Callable[[MlpParams], tuple[float, list[LayerGrads]]]
@@ -338,30 +362,27 @@ def grad_check(params: MlpParams, loss: LossFn, h: float = 1e-5) -> float:
     if h <= 0:
         raise ValueError("h must be positive")
     _, analytic = loss(params)
+    g = _as_vector(analytic)
+    flat = params.flat
     worst = 0.0
-    for li, layer in enumerate(params.layers):
-        for arr, g in (
-            (layer.weights, analytic[li].weights),
-            (layer.biases, analytic[li].biases),
-        ):
-            for idx in np.ndindex(arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + h
-                plus, _ = loss(params)
-                arr[idx] = orig - h
-                minus, _ = loss(params)
-                arr[idx] = orig
-                numeric = (plus - minus) / (2.0 * h)
-                denom = max(1e-12, abs(g[idx]) + abs(numeric))
-                worst = max(worst, float(abs(g[idx] - numeric) / denom))
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        plus, _ = loss(params)
+        flat[j] = orig - h
+        minus, _ = loss(params)
+        flat[j] = orig
+        numeric = (plus - minus) / (2.0 * h)
+        denom = max(1e-12, abs(g[j]) + abs(numeric))
+        worst = max(worst, float(abs(g[j] - numeric) / denom))
     return worst
 
 
 # --- checkpoint I/O ---------------------------------------------------------
 #
 # A checkpoint is a small JSON manifest (layer sizes and activations) next to
-# a binary blob of all weights then biases, layer by layer, row-major,
-# little-endian float64.
+# a binary blob of ``MlpParams.flat``: weights then biases, layer by layer,
+# row-major, little-endian float64.
 
 CHECKPOINT_FORMAT = "tvgan-mlp-v1"
 
@@ -378,11 +399,7 @@ def save_checkpoint(params: MlpParams, manifest_path) -> Path:
             for l in params.layers
         ],
     }
-    chunks = []
-    for layer in params.layers:
-        chunks.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(layer.biases, dtype="<f8").tobytes())
-    blob_path.write_bytes(b"".join(chunks))
+    blob_path.write_bytes(params.flat.astype("<f8", copy=False).tobytes())
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
 
@@ -393,18 +410,10 @@ def load_checkpoint(manifest_path) -> MlpParams:
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {manifest_path}")
     blob = (manifest_path.parent / manifest["weights_file"]).read_bytes()
-    layers = []
-    offset = 0
-    for spec in manifest["layers"]:
-        fan_in, fan_out = int(spec["fan_in"]), int(spec["fan_out"])
-        n_w, n_b = fan_in * fan_out, fan_out
-        w = np.frombuffer(blob, dtype="<f8", count=n_w, offset=offset)
-        offset += n_w * 8
-        b = np.frombuffer(blob, dtype="<f8", count=n_b, offset=offset)
-        offset += n_b * 8
-        layers.append(Layer(w.reshape(fan_in, fan_out).copy(), b.copy(), spec["activation"]))
-    if offset != len(blob):
-        raise ValueError(
-            f"checkpoint blob has {len(blob)} bytes, manifest accounts for {offset}"
-        )
-    return MlpParams(layers)
+    specs = manifest["layers"]
+    shapes = [(int(s["fan_in"]), int(s["fan_out"])) for s in specs]
+    size = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+    if size != len(blob):
+        raise ValueError(f"checkpoint blob has {len(blob)} bytes, manifest accounts for {size}")
+    flat = np.frombuffer(blob, dtype="<f8")
+    return MlpParams([Layer(w, b, s["activation"]) for (w, b), s in zip(_split(flat, shapes), specs)])

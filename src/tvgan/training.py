@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,21 +57,11 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "AdamConfig":
-        return AdamConfig(
-            lr=float(d.get("lr", 1e-3)),
-            beta1=float(d.get("beta1", 0.9)),
-            beta2=float(d.get("beta2", 0.999)),
-            epsilon=float(d.get("epsilon", 1e-8)),
-        )
+        return AdamConfig(**{f.name: float(d.get(f.name, f.default)) for f in fields(AdamConfig)})
 
 
 @dataclass
@@ -258,29 +248,31 @@ def discriminator_objective(
     real_batches: list[np.ndarray],
     alphas: np.ndarray,
     fake_batch: np.ndarray,
-) -> tuple[float, list[nn.LayerGrads], float, float]:
+) -> tuple[float, nn.FlatGrads, float, float]:
     """Ascending objective for fixed minibatches, with its exact gradient.
 
     ``sum_l alpha_l * mean_i log D(x_l_i) + mean_i log(1 - D(fake_i))``.
     Returns (value, grads w.r.t. discriminator params, mean score on real
     data weighted by alpha, mean score on fakes).
     """
-    grads = nn.zero_grads(d_params)
-    value = 0.0
-    mean_real = 0.0
+    passes = []
+    value = mean_real = 0.0
     for alpha, batch in zip(alphas, real_batches):
         out, cache = nn.mlp_forward(d_params, batch)
         n = out.shape[0]
         value += alpha * float(np.mean(_safe_log(out)))
         mean_real += alpha * float(np.mean(out))
         out_grad = (alpha / n) * _safe_log_grad(out)
-        nn.add_grads(grads, nn.mlp_backward(d_params, cache, out_grad)[0])
+        passes.append(nn.mlp_backward(d_params, cache, out_grad)[0])
     out, cache = nn.mlp_forward(d_params, fake_batch)
     n = out.shape[0]
     value += float(np.mean(_safe_log(1.0 - out)))
     mean_fake = float(np.mean(out))
     out_grad = -(1.0 / n) * _safe_log_grad(1.0 - out)
-    nn.add_grads(grads, nn.mlp_backward(d_params, cache, out_grad)[0])
+    passes.append(nn.mlp_backward(d_params, cache, out_grad)[0])
+    grads = passes[0]
+    for extra in passes[1:]:
+        grads.flat += extra.flat
     # alphas may arrive as a numpy vector; keep the scalar outputs plain floats
     # so downstream repr()-based serialization stays portable.
     return float(value), grads, float(mean_real), mean_fake
@@ -476,10 +468,8 @@ def write_run_outputs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = [write_metrics_csv(result.metrics, out / "metrics.csv")]
-    written.append(nn.save_checkpoint(result.generator, out / "generator.json"))
-    written.append(out / "generator.bin")
-    written.append(nn.save_checkpoint(result.discriminator, out / "discriminator.json"))
-    written.append(out / "discriminator.bin")
+    for name, params in (("generator", result.generator), ("discriminator", result.discriminator)):
+        written += [nn.save_checkpoint(params, out / f"{name}.json"), out / f"{name}.bin"]
     samples = generator_sample(result.generator, config.latent, config.samples_out, rng)
     written.append(write_samples_csv(samples, out / "samples.csv"))
     return written

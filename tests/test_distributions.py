@@ -368,6 +368,25 @@ class TestDatasets:
         np.testing.assert_allclose(right.mean(axis=0), [3.0, 0.0], atol=0.05)
         assert abs(left.shape[0] / 10000 - 0.5) < 0.05
 
+    def test_gaussian_mixture_draws_match_arrays_built_per_call(self):
+        """The arrays kept on the spec give the draws of arrays rebuilt on every
+        call, bit for bit: the same choice and standard_normal calls."""
+        spec = dist.GaussianMixture(
+            [
+                dist.MixtureComponent(np.array([-1.0, 2.0]), np.array([0.3, 0.05]), 0.2),
+                dist.MixtureComponent(np.array([0.5, 0.0]), np.array([1.0, 2.0]), 0.3),
+                dist.MixtureComponent(np.array([4.0, -1.0]), np.array([0.01, 0.7]), 0.5),
+            ]
+        )
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for n in (1, 7, 128, 1000):
+            weights = np.array([c.weight for c in spec.components])
+            means = np.stack([c.mean for c in spec.components])
+            stds = np.sqrt(np.stack([c.cov_diag for c in spec.components]))
+            which = ref_rng.choice(3, size=n, p=weights / weights.sum())
+            expected = means[which] + stds[which] * ref_rng.standard_normal((n, 2))
+            assert dist.sample_dataset(spec, n, rng).tobytes() == expected.tobytes()
+
     def test_file_dataset_resamples_file_rows(self, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_text("0.5 1.5\n2.5 3.5\n-1.0 0.0\n")

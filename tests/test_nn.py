@@ -8,6 +8,8 @@ two matrix products, written out explicitly in the test body.
 """
 
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +39,35 @@ def _squared_loss(x):
         return value, grads
 
     return loss
+
+
+def _masked_sigmoid(pre):
+    """The sigmoid as four boolean-mask gathers and scatters: the reference
+    the single-expression ``nn._sigmoid`` must match bit for bit."""
+    out = np.empty_like(pre)
+    pos = pre >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
+    ex = np.exp(pre[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, nn.LOG_EPS, 1.0 - nn.LOG_EPS)
+
+
+def _per_layer_adam(arrays, grads, m, v, t, state, sign):
+    """Adam written one array at a time over [W0, b0, W1, b1, ...]: the update
+    the whole-vector ``nn.adam_step`` must reproduce bit for bit."""
+    out = []
+    for value, grad, m_old, v_old in zip(arrays, grads, m, v):
+        m_new = state.beta1 * m_old + (1.0 - state.beta1) * grad
+        v_new = state.beta2 * v_old + (1.0 - state.beta2) * grad * grad
+        step = state.lr * (m_new / (1.0 - state.beta1**t)) / (
+            np.sqrt(v_new / (1.0 - state.beta2**t)) + state.epsilon
+        )
+        out.append((value + sign * step, m_new, v_new))
+    return [list(col) for col in zip(*out)]
+
+
+def _arrays(layers_or_grads):
+    return [a for l in layers_or_grads for a in (l.weights, l.biases)]
 
 
 def _scalar_param(value):
@@ -106,6 +137,21 @@ class TestForward:
         out, _ = nn.mlp_forward(params, x)
         assert np.all(out > 0.0)
         assert np.all(out < 1.0)
+
+    def test_sigmoid_matches_masked_reference_bit_for_bit(self):
+        """One exp(-|x|) and a where give the masked formula's bits, with no
+        numerical warning, at +-0, +-inf, nan, |x| >= 710 and random inputs."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, 710.0, -710.0,
+                   745.2, -745.2, 1e6, -1e6, 5e-324, -5e-324, 36.7, -36.7]
+        pre = np.concatenate([special, np.random.default_rng(41).normal(scale=30.0, size=500)])
+        pre = pre.reshape(-1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nn._sigmoid(pre)
+            expected = _masked_sigmoid(pre)
+        np.testing.assert_array_equal(got, expected)  # nan-aware
+        finite = ~np.isnan(pre)
+        assert got[finite].tobytes() == expected[finite].tobytes()
 
     def test_relu_activation(self):
         layer = nn.Layer(np.eye(2), np.zeros(2), "relu")
@@ -303,6 +349,90 @@ class TestAdam:
             nn.adam_step(params, grads, state, direction="descend")
         assert err.value.layer == 1
 
+    def test_bias_shape_mismatch_reports_the_bias_shapes(self):
+        params = nn.MlpParams([nn.Layer(np.zeros((2, 3)), np.zeros(3), "identity")])
+        grads = [nn.LayerGrads(np.zeros((2, 3)), np.zeros(5))]
+        with pytest.raises(nn.ShapeMismatchError) as err:
+            nn.adam_step(params, grads, nn.init_adam(params))
+        assert (err.value.layer, err.value.expected, err.value.actual) == (0, (3,), (5,))
+        assert str(err.value) == "layer 0: expected shape (3,), got (5,)"
+
+    def test_weights_shape_mismatch_reports_the_weights_shapes(self):
+        params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(0))
+        grads = nn.zero_grads(params)
+        grads[1] = nn.LayerGrads(np.zeros((1, 3)), np.zeros(1))
+        with pytest.raises(nn.ShapeMismatchError) as err:
+            nn.adam_step(params, grads, nn.init_adam(params))
+        assert (err.value.layer, err.value.expected, err.value.actual) == (1, (3, 1), (1, 3))
+
+    def test_non_finite_update_rejected_with_layer_index(self):
+        """Finite gradients whose update overflows are refused, naming the layer."""
+        rng = np.random.default_rng(31)
+        params = nn.init_mlp([2, 3, 2, 1], ["tanh", "tanh", "identity"], rng)
+        state = nn.init_adam(params, lr=10.0, beta1=0.0)
+        grads = nn.zero_grads(params)
+        grads[2].biases[0] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(nn.NonFiniteError) as err:
+            nn.adam_step(params, grads, state, direction="descend")
+        assert err.value.layer == 2
+        assert "layer parameters" in str(err.value)
+
+    def test_whole_vector_step_matches_per_layer_reference(self):
+        """Fifty random steps in both directions on a 3-layer net, with plain
+        and flat gradient lists: params and both moments equal the per-layer
+        reference bit for bit."""
+        rng = np.random.default_rng(50)
+        params = nn.init_mlp([3, 7, 5, 2], ["tanh", "relu", "identity"], rng)
+        state = nn.init_adam(params, lr=0.01, beta1=0.5, beta2=0.99, epsilon=1e-7)
+        ref = _arrays(params.layers)
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        for t in range(1, 51):
+            direction = ("ascend", "descend")[int(rng.integers(2))]
+            if t % 2:
+                grads = [
+                    nn.LayerGrads(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
+                    for l in params.layers
+                ]
+            else:
+                grads = nn.zero_grads(params)
+                grads.flat[:] = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=grads.flat.size)
+            ref, ref_m, ref_v = _per_layer_adam(
+                ref, _arrays(grads), ref_m, ref_v, t, state, 1.0 if direction == "ascend" else -1.0
+            )
+            params, state = nn.adam_step(params, grads, state, direction=direction)
+            assert state.step_count == t
+            for got, want in (
+                (_arrays(params.layers), ref),
+                (_arrays(state.first_moment), ref_m),
+                (_arrays(state.second_moment), ref_v),
+            ):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_step_leaves_multi_layer_inputs_untouched(self):
+        rng = np.random.default_rng(52)
+        params = nn.init_mlp([2, 5, 4, 1], ["tanh", "tanh", "sigmoid"], rng)
+        state = nn.init_adam(params, lr=0.05)
+        for _ in range(3):  # non-zero moments
+            grads = nn.zero_grads(params)
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            params, state = nn.adam_step(params, grads, state, direction="ascend")
+        grads = nn.zero_grads(params)
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        before = [
+            [a.copy() for a in _arrays(x)]
+            for x in (params.layers, state.first_moment, state.second_moment, grads)
+        ]
+        flat_before = params.flat.copy()
+        new_params, new_state = nn.adam_step(params, grads, state, direction="descend")
+        after = [_arrays(x) for x in (params.layers, state.first_moment, state.second_moment, grads)]
+        for b, a in zip(before, after):
+            assert [x.tobytes() for x in b] == [x.tobytes() for x in a]
+        assert params.flat.tobytes() == flat_before.tobytes()
+        assert state.step_count == 3 and new_state.step_count == 4
+        assert not np.shares_memory(new_params.flat, params.flat)
+        assert not np.shares_memory(new_state.first_moment.flat, state.first_moment.flat)
+
     def test_invalid_direction_rejected(self):
         params = _scalar_param(0.0)
         state = nn.init_adam(params)
@@ -405,3 +535,71 @@ class TestCheckpoint:
         bin_path.write_bytes(bin_path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             nn.load_checkpoint(manifest)
+
+
+class TestFlatLayout:
+    def test_layer_arrays_are_views_of_one_vector(self):
+        rng = np.random.default_rng(60)
+        params = nn.init_mlp([3, 4, 2], ["tanh", "identity"], rng)
+        assert params.flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        for a in _arrays(params.layers):
+            assert a.base is params.flat
+        x = rng.normal(size=(5, 3))
+        _, cache = nn.mlp_forward(params, x)
+        grads, _ = nn.mlp_backward(params, cache, np.ones((5, 2)))
+        assert grads.flat.shape == params.flat.shape
+        for a in _arrays(grads):
+            assert a.base is grads.flat
+
+    def test_in_place_edits_reach_forward_adam_and_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(61)
+        params = nn.init_mlp([3, 4, 2], ["tanh", "identity"], rng)
+        params.layers[0].biases += 0.25
+        params.layers[1].weights[2, 1] = 3.0
+        w0, b0, w1, b1 = (a.copy() for a in _arrays(params.layers))
+        np.testing.assert_array_equal(b0, np.full(4, 0.25))
+        assert w1[2, 1] == 3.0
+
+        x = rng.normal(size=(6, 3))
+        np.testing.assert_array_equal(nn.mlp_forward(params, x)[0], np.tanh(x @ w0 + b0) @ w1 + b1)
+
+        # a zero gradient leaves Adam's output equal to its input
+        stepped, _ = nn.adam_step(params, nn.zero_grads(params), nn.init_adam(params))
+        assert [a.tobytes() for a in _arrays(stepped.layers)] == [
+            a.tobytes() for a in (w0, b0, w1, b1)
+        ]
+
+        nn.save_checkpoint(params, tmp_path / "net.json")
+        loaded = nn.load_checkpoint(tmp_path / "net.json")
+        assert [a.tobytes() for a in _arrays(loaded.layers)] == [
+            a.tobytes() for a in (w0, b0, w1, b1)
+        ]
+
+    def test_checkpoint_blob_is_the_per_layer_concatenation(self, tmp_path):
+        """The blob is W0, b0, W1, b1, ... row-major little-endian float64,
+        packed here value by value from the arrays the network was built from."""
+        rng = np.random.default_rng(62)
+        shapes = [(3, 5), (5, 4), (4, 2)]
+        built = [(rng.normal(size=s), rng.normal(size=s[1])) for s in shapes]
+        params = nn.MlpParams([nn.Layer(w, b, "tanh") for w, b in built])
+        nn.save_checkpoint(params, tmp_path / "net.json")
+        values = [float(v) for w, b in built for v in (*w.flatten().tolist(), *b.tolist())]
+        expected = struct.pack(f"<{len(values)}d", *values)
+        assert (tmp_path / "net.bin").read_bytes() == expected
+
+    def test_load_checkpoint_keeps_the_finite_check(self, tmp_path):
+        params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(63))
+        nn.save_checkpoint(params, tmp_path / "net.json")
+        blob = bytearray((tmp_path / "net.bin").read_bytes())
+        blob[-8:] = struct.pack("<d", float("nan"))
+        (tmp_path / "net.bin").write_bytes(bytes(blob))
+        with pytest.raises(nn.NonFiniteError):
+            nn.load_checkpoint(tmp_path / "net.json")
+
+    def test_external_construction_keeps_its_checks(self):
+        with pytest.raises(nn.NonFiniteError):
+            nn.Layer(np.array([[np.inf]]), np.zeros(1), "identity")
+        with pytest.raises(ValueError):
+            nn.Layer(np.zeros((2, 3)), np.zeros(2), "identity")
+        with pytest.raises(ValueError):
+            nn.MlpParams(layers=[])
