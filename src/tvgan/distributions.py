@@ -12,6 +12,7 @@ nothing here touches global randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -39,6 +40,23 @@ def canonicalize(rows: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ..
         inverse, first = _clusters(inverse * (ids.max() + 1) + ids, 0.0)  # below len(rows) ** 2
     masses = [np.bincount(inverse, weights=w, minlength=first.size) for w in weights]
     return (rows[first], inverse, *masses)
+
+
+def _categorical_cdf(p: np.ndarray) -> np.ndarray:
+    """The normalized running sum of ``p``, for ``_draw_categorical``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_categorical(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` indices drawn from the categorical law with ``cdf = _categorical_cdf(p)``.
+
+    This is what ``rng.choice(p.size, size=n, p=p)`` does, with the same indices
+    and the same generator state afterwards, minus its validation of ``p`` on
+    every call: callers build ``cdf`` once per validated law.
+    """
+    return cdf.searchsorted(rng.random(n), side="right")
 
 
 def _clusters(values: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -88,6 +106,11 @@ class DiscreteDist:
     @property
     def dimension(self) -> int:
         return self.support.shape[1]
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """Built on the first draw, so laws that are never sampled pay nothing."""
+        return _categorical_cdf(self.probs)
 
     def prob_table(self) -> dict[tuple, float]:
         return dict(zip(map(tuple, self.support.tolist()), self.probs.tolist()))
@@ -200,8 +223,7 @@ def sample_slab(slab: SlabSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(slab, PointMassSlab):
         return np.tile(slab.offset, (n, 1))
     if isinstance(slab, DiscreteDist):
-        idx = rng.choice(slab.support.shape[0], size=n, p=slab.probs)
-        return slab.support[idx]
+        return slab.support[_draw_categorical(slab._cdf, n, rng)]
     raise TypeError(f"not a slab spec: {type(slab).__name__}")
 
 
@@ -314,12 +336,13 @@ class MixtureComponent:
 @dataclass
 class GaussianMixture:
     """Diagonal Gaussian mixture. The sampling arrays (stacked means, stacked
-    standard deviations, normalized weights) are built once, at construction."""
+    standard deviations, the normalized weights' ``_categorical_cdf``) are
+    built once, at construction."""
 
     components: list[MixtureComponent]
     _means: np.ndarray = field(init=False, repr=False, compare=False)
     _stds: np.ndarray = field(init=False, repr=False, compare=False)
-    _probs: np.ndarray = field(init=False, repr=False, compare=False)
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -332,7 +355,7 @@ class GaussianMixture:
             raise ValueError("all components must share one dimension")
         self._means = np.stack([c.mean for c in self.components])
         self._stds = np.sqrt(np.stack([c.cov_diag for c in self.components]))
-        self._probs = weights / weights.sum()
+        self._cdf = _categorical_cdf(weights / weights.sum())
 
 
 @dataclass
@@ -390,7 +413,7 @@ def sample_dataset(spec: DatasetSpec, n: int, rng: np.random.Generator) -> np.nd
         raise ValueError("n must be >= 1")
     if isinstance(spec, GaussianMixture):
         means, stds = spec._means, spec._stds
-        which = rng.choice(len(spec.components), size=n, p=spec._probs)
+        which = _draw_categorical(spec._cdf, n, rng)
         return means[which] + stds[which] * rng.standard_normal((n, means.shape[1]))
     if isinstance(spec, Ring):
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -399,8 +422,7 @@ def sample_dataset(spec: DatasetSpec, n: int, rng: np.random.Generator) -> np.nd
             base = base + spec.noise_std * rng.standard_normal((n, 2))
         return base
     if isinstance(spec, DiscreteDist):
-        idx = rng.choice(spec.support.shape[0], size=n, p=spec.probs)
-        return spec.support[idx]
+        return spec.support[_draw_categorical(spec._cdf, n, rng)]
     if isinstance(spec, FileDataset):
         rows = spec.load()
         return rows[rng.integers(0, rows.shape[0], size=n)]

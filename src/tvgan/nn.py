@@ -1,16 +1,23 @@
 """Dense network core: MLP forward/backward, Adam, gradient checking, checkpoints.
 
-Everything is float64 and pure: functions take parameter containers and return
-new ones, so callers own all state. Batches are 2-D numpy arrays with one
-sample per row. Each network, its gradients and its Adam moments are held as
-one contiguous vector laid out W0, b0, W1, b1, ... row-major (the checkpoint
-blob's layout); the per-layer arrays are views into it.
+Everything is float64 and the public functions are pure: they take parameter
+containers and return new ones, so callers own all state. Batches are 2-D
+numpy arrays with one sample per row. Each network, its gradients and its
+Adam moments are held as one contiguous vector laid out W0, b0, W1, b1, ...
+row-major (the checkpoint blob's layout); the per-layer arrays are views into
+it, at offsets computed once per network (``_Layout``).
+
+Backward and Adam each have one in-place kernel (``_backward``,
+``_adam_in_place``) that writes into vectors its caller owns and builds no
+per-layer containers. ``mlp_backward`` and ``adam_step`` allocate or copy
+once and run it; ``training`` runs the kernels on one working copy per step
+(``_working_copy``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -51,7 +58,7 @@ def as_batch(x, dim: int | None = None) -> np.ndarray:
     x = _as_f64(x)
     if x.ndim != 2:
         raise ValueError(f"batch must be 2-D [n, d], got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError("batch")
     if dim is not None and x.shape[1] != dim:
         raise ShapeMismatchError(0, (x.shape[0], dim), x.shape)
@@ -96,15 +103,33 @@ def _unchecked(cls, **attrs):
     return obj
 
 
-def _split(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weights, biases) views of ``flat`` in W0, b0, W1, b1, ... order, one
-    pair per ``(fan_in, fan_out)`` in ``shapes``."""
-    views, start = [], 0
-    for fan_in, fan_out in shapes:
-        mid = start + fan_in * fan_out
-        views.append((flat[start:mid].reshape(fan_in, fan_out), flat[mid : mid + fan_out]))
-        start = mid + fan_out
-    return views
+class _Layout:
+    """Where each layer's weights and biases lie in a network's flat vector.
+
+    Computed once when a network is built and shared by all its copies, so
+    no kernel recomputes offsets or shapes.
+    """
+
+    __slots__ = ("shapes", "bounds", "ends")
+
+    def __init__(self, shapes):
+        self.shapes = [(int(fan_in), int(fan_out)) for fan_in, fan_out in shapes]
+        self.bounds, start = [], 0  # (weights start, biases start, biases end) per layer
+        for fan_in, fan_out in self.shapes:
+            mid = start + fan_in * fan_out
+            self.bounds.append((start, mid, mid + fan_out))
+            start = mid + fan_out
+        self.ends = np.array([end for _, _, end in self.bounds])
+
+    def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weights, biases) views of ``flat``, one pair per layer."""
+        return [
+            (flat[start:mid].reshape(shape), flat[mid:end])
+            for (start, mid, end), shape in zip(self.bounds, self.shapes)
+        ]
+
+    def first_non_finite_layer(self, vec: np.ndarray) -> int:
+        return int(np.searchsorted(self.ends, np.argmin(np.isfinite(vec)), side="right"))
 
 
 @dataclass
@@ -113,11 +138,12 @@ class MlpParams:
 
     ``flat`` holds every parameter; each layer's ``weights`` and ``biases``
     are views into it, so edit them in place (``layer.biases += 0.25``) and
-    never rebind them.
+    never rebind them or change the list of layers.
     """
 
     layers: list[Layer]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _layout: _Layout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -125,8 +151,9 @@ class MlpParams:
         for i, (a, b) in enumerate(zip(self.layers, self.layers[1:]), start=1):
             if a.fan_out != b.fan_in:
                 raise ShapeMismatchError(i, (a.fan_out, b.fan_out), b.weights.shape)
+        self._layout = _Layout(l.weights.shape for l in self.layers)
         self.flat = np.concatenate([a.ravel() for l in self.layers for a in (l.weights, l.biases)])
-        for layer, (w, b) in zip(self.layers, _split(self.flat, _shapes(self))):
+        for layer, (w, b) in zip(self.layers, self._layout.views(self.flat)):
             layer.weights, layer.biases = w, b
 
     @property
@@ -141,17 +168,13 @@ class MlpParams:
         return _wrap(self, self.flat.copy())
 
 
-def _shapes(params: MlpParams) -> list[tuple[int, int]]:
-    return [l.weights.shape for l in params.layers]
-
-
 def _wrap(like: MlpParams, flat: np.ndarray) -> MlpParams:
     """Params shaped like ``like`` over the vector ``flat``, which becomes theirs."""
     layers = [
         _unchecked(Layer, weights=w, biases=b, activation=l.activation)
-        for l, (w, b) in zip(like.layers, _split(flat, _shapes(like)))
+        for l, (w, b) in zip(like.layers, like._layout.views(flat))
     ]
-    return _unchecked(MlpParams, layers=layers, flat=flat)
+    return _unchecked(MlpParams, layers=layers, flat=flat, _layout=like._layout)
 
 
 @dataclass
@@ -167,7 +190,7 @@ class FlatGrads(list):
     laid out like ``MlpParams.flat``; edit them in place, never rebind them."""
 
     def __init__(self, like: MlpParams, flat: np.ndarray):
-        super().__init__(LayerGrads(w, b) for w, b in _split(flat, _shapes(like)))
+        super().__init__([LayerGrads(w, b) for w, b in like._layout.views(flat)])
         self.flat = flat
 
 
@@ -176,11 +199,6 @@ def _as_vector(grads: list[LayerGrads]) -> np.ndarray:
     if isinstance(grads, FlatGrads):
         return grads.flat
     return np.concatenate([a.ravel() for g in grads for a in (g.weights, g.biases)], dtype=np.float64)
-
-
-def _first_non_finite_layer(params: MlpParams, vec: np.ndarray) -> int:
-    ends = np.cumsum([l.weights.size + l.biases.size for l in params.layers])
-    return int(np.searchsorted(ends, np.argmin(np.isfinite(vec)), side="right"))
 
 
 @dataclass
@@ -209,10 +227,16 @@ def init_mlp(sizes: Sequence[int], activations: Sequence[str], rng: np.random.Ge
 
 
 def _sigmoid(pre: np.ndarray) -> np.ndarray:
-    ex = np.exp(-np.abs(pre))  # in (0, 1]: neither branch can overflow
-    out = np.where(pre >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    ex = np.abs(pre)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)  # in (0, 1]: neither branch can overflow
+    den = ex + 1.0
+    out = np.divide(ex, den)
+    np.divide(1.0, den, out=out, where=pre >= 0)
     # keep strictly inside (0, 1); saturation would make log-losses infinite
-    return np.clip(out, LOG_EPS, 1.0 - LOG_EPS)
+    # (np.clip's two ufuncs, in place)
+    np.maximum(out, LOG_EPS, out=out)
+    return np.minimum(out, 1.0 - LOG_EPS, out=out)
 
 
 def _activate(name: str, pre: np.ndarray) -> np.ndarray:
@@ -225,15 +249,23 @@ def _activate(name: str, pre: np.ndarray) -> np.ndarray:
     return pre  # identity
 
 
-def _activation_grad(name: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+def _pre_grad(name: str, da: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """d(loss)/d(pre-activation): ``da`` times the activation's derivative at
+    ``pre`` (``post`` is its value there). A new array, or ``da`` itself for
+    the identity. The products are formed in place with their operands
+    swapped, which IEEE multiplication rounds the same."""
     if name == "relu":
-        # derivative at exactly 0 is defined as 0
-        return (pre > 0).astype(np.float64)
+        return da * (pre > 0)  # derivative at exactly 0 is defined as 0
     if name == "tanh":
-        return 1.0 - post * post
-    if name == "sigmoid":
-        return post * (1.0 - post)
-    return np.ones_like(pre)
+        grad = post * post
+        np.subtract(1.0, grad, out=grad)
+    elif name == "sigmoid":
+        grad = 1.0 - post
+        grad *= post
+    else:
+        return da
+    grad *= da
+    return grad
 
 
 def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, ForwardCache]:
@@ -244,12 +276,47 @@ def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, ForwardCache]:
         if h.shape[1] != layer.fan_in:
             raise ShapeMismatchError(i, (h.shape[0], layer.fan_in), h.shape)
         inputs.append(h)
-        pres.append(h @ layer.weights + layer.biases)
-        h = _activate(layer.activation, pres[-1])
+        pre = h @ layer.weights
+        pre += layer.biases
+        pres.append(pre)
+        h = _activate(layer.activation, pre)
         posts.append(h)
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NonFiniteError("forward output", layer=len(params.layers) - 1)
     return h, ForwardCache(inputs, pres, posts)
+
+
+def _backward(
+    params: MlpParams,
+    cache: ForwardCache,
+    output_grad,
+    grads: np.ndarray | None,
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """Reverse-mode kernel: exact derivatives of the forward map.
+
+    ``output_grad`` is d(loss)/d(output). Writes the parameter gradients into
+    ``grads``, a vector laid out like ``params.flat``, and returns the gradient
+    with respect to the batch input. With ``grads`` None it computes the input
+    gradient alone, skipping each layer's weight product and bias sum; with
+    ``input_grad`` False it skips the first layer's input product and
+    returns None.
+    """
+    output_grad = _as_f64(output_grad)
+    last = len(params.layers) - 1
+    if output_grad.shape != cache.posts[last].shape:
+        raise ShapeMismatchError(last, cache.posts[last].shape, output_grad.shape)
+    layout = params._layout
+    da = output_grad
+    for i in range(last, -1, -1):
+        layer = params.layers[i]
+        dpre = _pre_grad(layer.activation, da, cache.pres[i], cache.posts[i])
+        if grads is not None:
+            start, mid, end = layout.bounds[i]
+            np.matmul(cache.inputs[i].T, dpre, out=grads[start:mid].reshape(layout.shapes[i]))
+            np.add.reduce(dpre, axis=0, out=grads[mid:end])
+        da = dpre @ layer.weights.T if i or input_grad else None
+    return da
 
 
 def mlp_backward(
@@ -258,21 +325,12 @@ def mlp_backward(
     """Reverse-mode pass: exact derivatives of the forward map.
 
     ``output_grad`` is d(loss)/d(output); returns the parameter gradients (as
-    :class:`FlatGrads`) and the gradient with respect to the batch input.
+    :class:`FlatGrads` over a new vector) and the gradient with respect to the
+    batch input.
     """
-    output_grad = _as_f64(output_grad)
-    last = len(params.layers) - 1
-    if output_grad.shape != cache.posts[last].shape:
-        raise ShapeMismatchError(last, cache.posts[last].shape, output_grad.shape)
-    grads = FlatGrads(params, np.empty_like(params.flat))
-    da = output_grad
-    for i in range(last, -1, -1):
-        layer, g = params.layers[i], grads[i]
-        dpre = da * _activation_grad(layer.activation, cache.pres[i], cache.posts[i])
-        np.matmul(cache.inputs[i].T, dpre, out=g.weights)
-        dpre.sum(axis=0, out=g.biases)
-        da = dpre @ layer.weights.T
-    return grads, da
+    grads = np.empty_like(params.flat)
+    input_grad = _backward(params, cache, output_grad, grads)
+    return FlatGrads(params, grads), input_grad
 
 
 def zero_grads(params: MlpParams) -> FlatGrads:
@@ -311,6 +369,54 @@ def init_adam(
     return AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, first_moment=m, second_moment=v)
 
 
+def _working_copy(params: MlpParams, state: AdamState) -> tuple[MlpParams, AdamState]:
+    """Copies of ``params`` and ``state``, moments as :class:`FlatGrads`, for
+    the in-place kernels to update while the originals stay untouched."""
+    m, v = (FlatGrads(params, _as_vector(x).copy()) for x in (state.first_moment, state.second_moment))
+    state = AdamState(state.lr, state.beta1, state.beta2, state.epsilon, state.step_count, m, v)
+    return params.copy(), state
+
+
+def _adam_in_place(params: MlpParams, g: np.ndarray, state: AdamState, direction: str) -> None:
+    """Adam kernel: one bias-corrected update of ``params`` and ``state``, in place.
+
+    ``g`` is the gradient vector, laid out like ``params.flat``; the moments
+    of ``state`` must be :class:`FlatGrads` (``_working_copy`` makes them so).
+    ``direction="ascend"`` moves parameters up the gradient, ``"descend"`` down.
+    """
+    if direction not in ("ascend", "descend"):
+        raise ValueError(f"direction must be 'ascend' or 'descend', got {direction!r}")
+    if not np.isfinite(g).all():
+        raise NonFiniteError("gradients", layer=params._layout.first_non_finite_layer(g))
+    t = state.step_count + 1
+    m, v, flat = state.first_moment.flat, state.second_moment.flat, params.flat
+    # The operations of
+    #   m = beta1 * m + (1 - beta1) * g,   v = beta2 * v + (1 - beta2) * g * g,
+    #   step = lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + epsilon),
+    # one by one and in that order; the in-place products swap their operands,
+    # which IEEE multiplication rounds the same.
+    m *= state.beta1
+    tmp = np.multiply(g, 1.0 - state.beta1)
+    m += tmp
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    tmp *= g
+    v += tmp
+    step = np.divide(m, 1.0 - state.beta1**t, out=tmp)
+    step *= state.lr
+    den = np.divide(v, 1.0 - state.beta2**t)
+    np.sqrt(den, out=den)
+    den += state.epsilon
+    step /= den
+    if direction == "ascend":
+        flat += step
+    else:
+        flat -= step
+    if not np.isfinite(flat).all():
+        raise NonFiniteError("layer parameters", layer=params._layout.first_non_finite_layer(flat))
+    state.step_count = t
+
+
 def adam_step(
     params: MlpParams,
     grads: list[LayerGrads],
@@ -320,10 +426,9 @@ def adam_step(
     """One bias-corrected Adam update with the requested sign.
 
     ``direction="ascend"`` moves parameters up the gradient (discriminator),
-    ``"descend"`` moves them down (generator). Returns fresh params and state.
+    ``"descend"`` moves them down (generator). Returns fresh params and state
+    and leaves its inputs untouched.
     """
-    if direction not in ("ascend", "descend"):
-        raise ValueError(f"direction must be 'ascend' or 'descend', got {direction!r}")
     if len(grads) != len(params.layers):
         raise ValueError("gradient list length does not match layer count")
     for i, (layer, g) in enumerate(zip(params.layers, grads)):
@@ -331,21 +436,9 @@ def adam_step(
             if have.shape != want.shape:
                 raise ShapeMismatchError(i, want.shape, have.shape)
     g = _as_vector(grads)
-    if not np.isfinite(g).all():
-        raise NonFiniteError("gradients", layer=_first_non_finite_layer(params, g))
-    t = state.step_count + 1
-    m = state.beta1 * _as_vector(state.first_moment) + (1.0 - state.beta1) * g
-    v = state.beta2 * _as_vector(state.second_moment) + (1.0 - state.beta2) * g * g
-    step = state.lr * (m / (1.0 - state.beta1**t)) / (
-        np.sqrt(v / (1.0 - state.beta2**t)) + state.epsilon
-    )
-    flat = params.flat + step if direction == "ascend" else params.flat - step
-    if not np.isfinite(flat).all():
-        raise NonFiniteError("layer parameters", layer=_first_non_finite_layer(params, flat))
-    new_state = replace(
-        state, step_count=t, first_moment=FlatGrads(params, m), second_moment=FlatGrads(params, v)
-    )
-    return _wrap(params, flat), new_state
+    params, state = _working_copy(params, state)
+    _adam_in_place(params, g, state, direction)
+    return params, state
 
 
 LossFn = Callable[[MlpParams], tuple[float, list[LayerGrads]]]
@@ -415,5 +508,5 @@ def load_checkpoint(manifest_path) -> MlpParams:
     size = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
     if size != len(blob):
         raise ValueError(f"checkpoint blob has {len(blob)} bytes, manifest accounts for {size}")
-    flat = np.frombuffer(blob, dtype="<f8")
-    return MlpParams([Layer(w, b, s["activation"]) for (w, b), s in zip(_split(flat, shapes), specs)])
+    views = _Layout(shapes).views(np.frombuffer(blob, dtype="<f8"))
+    return MlpParams([Layer(w, b, s["activation"]) for (w, b), s in zip(views, specs)])

@@ -37,16 +37,18 @@ from .divergence import HistogramEstimator, estimate_divergences
 LOG_EPS = nn.LOG_EPS
 
 
-def _safe_log(v: np.ndarray) -> np.ndarray:
-    return np.log(np.clip(v, LOG_EPS, 1.0))
+def _mean(v: np.ndarray) -> float:
+    # np.mean's sum and division, without its wrappers: the same bits
+    return float(v.sum() / v.size)
 
 
-def _safe_log_grad(v: np.ndarray) -> np.ndarray:
-    # derivative of the clamped log: zero on the clamped flats
-    clipped = np.clip(v, LOG_EPS, 1.0)
-    g = 1.0 / clipped
-    g[(v < LOG_EPS) | (v > 1.0)] = 0.0
-    return g
+def _safe_log(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log of ``v`` clamped to [LOG_EPS, 1], and its derivative, which is zero
+    on the clamped flats."""
+    clamped = np.minimum(np.maximum(v, LOG_EPS), 1.0)  # np.clip's ufuncs, without its wrappers
+    grad = 1.0 / clamped
+    grad[(v < LOG_EPS) | (v > 1.0)] = 0.0
+    return np.log(clamped), grad
 
 
 @dataclass
@@ -112,6 +114,15 @@ class TrainConfig:
                     f"dataset {i}: noise dimension {part.noise.dimension} does not "
                     f"match sample dimension {dim}"
                 )
+        for name in ("g_hidden", "d_hidden"):
+            widths = getattr(self, name)
+            if any(w < 1 for w in widths):
+                raise ValueError(f"{name} widths must be >= 1, got {list(widths)}")
+        if self.hidden_activation not in nn.ACTIVATIONS:
+            raise ValueError(
+                f"hidden_activation must be one of {', '.join(nn.ACTIVATIONS)}, "
+                f"got {self.hidden_activation!r}"
+            )
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.batch_size < 1 or self.total_samples_n < 1:
@@ -129,6 +140,8 @@ class TrainConfig:
                 f"estimator dimension {self.estimator.dimension} does not match "
                 f"sample dimension {dim}"
             )
+        if self.estimator is not None and self.eval_samples < 1:
+            raise ValueError(f"eval_samples must be >= 1 with an estimator, got {self.eval_samples}")
 
     @property
     def data_dim(self) -> int:
@@ -255,27 +268,45 @@ def discriminator_objective(
     Returns (value, grads w.r.t. discriminator params, mean score on real
     data weighted by alpha, mean score on fakes).
     """
-    passes = []
+    grads, scratch = np.empty((2, d_params.flat.size))
+    value, mean_real, mean_fake = _discriminator_objective(
+        d_params, real_batches, alphas, fake_batch, grads, scratch
+    )
+    return value, nn.FlatGrads(d_params, grads), mean_real, mean_fake
+
+
+def _discriminator_objective(d_params, real_batches, alphas, fake_batch, grads, scratch):
+    """``discriminator_objective`` writing its gradient into the vector
+    ``grads``; each backward pass after the first goes through ``scratch`` and
+    is added to ``grads`` in pass order (real batches, then the fake one)."""
+    passes = 0
+
+    def backprop(cache, out_grad):
+        nonlocal passes
+        if passes:
+            nn._backward(d_params, cache, out_grad, scratch, input_grad=False)
+            np.add(grads, scratch, out=grads)
+        else:
+            nn._backward(d_params, cache, out_grad, grads, input_grad=False)
+        passes += 1
+
     value = mean_real = 0.0
     for alpha, batch in zip(alphas, real_batches):
         out, cache = nn.mlp_forward(d_params, batch)
         n = out.shape[0]
-        value += alpha * float(np.mean(_safe_log(out)))
-        mean_real += alpha * float(np.mean(out))
-        out_grad = (alpha / n) * _safe_log_grad(out)
-        passes.append(nn.mlp_backward(d_params, cache, out_grad)[0])
+        log_out, log_grad = _safe_log(out)
+        value += alpha * _mean(log_out)
+        mean_real += alpha * _mean(out)
+        backprop(cache, (alpha / n) * log_grad)
     out, cache = nn.mlp_forward(d_params, fake_batch)
     n = out.shape[0]
-    value += float(np.mean(_safe_log(1.0 - out)))
-    mean_fake = float(np.mean(out))
-    out_grad = -(1.0 / n) * _safe_log_grad(1.0 - out)
-    passes.append(nn.mlp_backward(d_params, cache, out_grad)[0])
-    grads = passes[0]
-    for extra in passes[1:]:
-        grads.flat += extra.flat
+    log_rest, log_grad = _safe_log(1.0 - out)
+    value += _mean(log_rest)
+    mean_fake = _mean(out)
+    backprop(cache, -(1.0 / n) * log_grad)
     # alphas may arrive as a numpy vector; keep the scalar outputs plain floats
     # so downstream repr()-based serialization stays portable.
-    return float(value), grads, float(mean_real), mean_fake
+    return float(value), float(mean_real), mean_fake
 
 
 def generator_objective(
@@ -290,20 +321,29 @@ def generator_objective(
     descends ``-mean log D(G(z))``, which has the same fixed point but does
     not stall when the discriminator confidently rejects fakes.
     """
+    grads = np.empty_like(g_params.flat)
+    value = _generator_objective(g_params, d_params, latent_batch, loss_kind, grads)
+    return value, nn.FlatGrads(g_params, grads)
+
+
+def _generator_objective(g_params, d_params, latent_batch, loss_kind, grads) -> float:
+    """``generator_objective`` writing its gradient into the vector ``grads``.
+    The pass through the frozen discriminator computes only d(loss)/d(fake)."""
     fake, g_cache = nn.mlp_forward(g_params, latent_batch)
     score, d_cache = nn.mlp_forward(d_params, fake)
     n = score.shape[0]
     if loss_kind == "minimax":
-        value = float(np.mean(_safe_log(1.0 - score)))
-        score_grad = -(1.0 / n) * _safe_log_grad(1.0 - score)
+        log_rest, log_grad = _safe_log(1.0 - score)
+        value = _mean(log_rest)
     elif loss_kind == "non_saturating":
-        value = -float(np.mean(_safe_log(score)))
-        score_grad = -(1.0 / n) * _safe_log_grad(score)
+        log_score, log_grad = _safe_log(score)
+        value = -_mean(log_score)
     else:
         raise ValueError(f"unknown generator loss {loss_kind!r}")
-    _, fake_grad = nn.mlp_backward(d_params, d_cache, score_grad)
-    g_grads, _ = nn.mlp_backward(g_params, g_cache, fake_grad)
-    return value, g_grads
+    score_grad = -(1.0 / n) * log_grad
+    fake_grad = nn._backward(d_params, d_cache, score_grad, None)
+    nn._backward(g_params, g_cache, fake_grad, grads, input_grad=False)
+    return value
 
 
 @dataclass
@@ -320,7 +360,12 @@ def discriminator_step(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[nn.MlpParams, nn.AdamState, DiscStepStats]:
-    """One ascent step: fresh noised minibatches per dataset, one latent batch."""
+    """One ascent step: fresh noised minibatches per dataset, one latent batch.
+
+    Copies ``d_params`` and ``d_state`` once, updates the copy in place and
+    returns it; the inputs are left untouched.
+    """
+    d_params, d_state = nn._working_copy(d_params, d_state)
     real_batches = []
     for part in config.datasets:
         batch = sample_dataset(part.spec, config.batch_size, rng)
@@ -328,12 +373,13 @@ def discriminator_step(
         real_batches.append(noised)
     z = sample_latent(config.latent, config.batch_size, rng)
     fake = nn.mlp_forward(g_params, z)[0]
-    value, grads, mean_real, mean_fake = discriminator_objective(
-        d_params, real_batches, config.alphas, fake
+    grads, scratch = np.empty((2, d_params.flat.size))
+    value, mean_real, mean_fake = _discriminator_objective(
+        d_params, real_batches, config.alphas, fake, grads, scratch
     )
     if not np.isfinite(value):
         raise nn.NonFiniteError("discriminator objective")
-    d_params, d_state = nn.adam_step(d_params, grads, d_state, direction="ascend")
+    nn._adam_in_place(d_params, grads, d_state, "ascend")
     return d_params, d_state, DiscStepStats(value, mean_real, mean_fake)
 
 
@@ -344,12 +390,18 @@ def generator_step(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[nn.MlpParams, nn.AdamState, float]:
-    """One descent step on the generator with the discriminator frozen."""
+    """One descent step on the generator with the discriminator frozen.
+
+    Copies ``g_params`` and ``g_state`` once, updates the copy in place and
+    returns it; the inputs are left untouched.
+    """
+    g_params, g_state = nn._working_copy(g_params, g_state)
     z = sample_latent(config.latent, config.batch_size, rng)
-    value, grads = generator_objective(g_params, d_params, z, config.generator_loss)
+    grads = np.empty_like(g_params.flat)
+    value = _generator_objective(g_params, d_params, z, config.generator_loss, grads)
     if not np.isfinite(value):
         raise nn.NonFiniteError("generator objective")
-    g_params, g_state = nn.adam_step(g_params, grads, g_state, direction="descend")
+    nn._adam_in_place(g_params, grads, g_state, "descend")
     return g_params, g_state, value
 
 

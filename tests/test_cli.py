@@ -244,6 +244,33 @@ class TestTrainCommand:
         assert "bad.json" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"hidden_activation": "swish"}, "hidden_activation"),
+            ({"g_hidden": [0]}, "g_hidden"),
+            ({"d_hidden": [-3]}, "d_hidden"),
+            (
+                {
+                    "estimator": {"bounds": [[-3.0, 3.0], [-3.0, 3.0]], "bins_per_dim": 8},
+                    "eval_samples": 0,
+                    "eval_every": 1,
+                },
+                "eval_samples",
+            ),
+        ],
+    )
+    def test_bad_network_or_eval_field_is_a_usage_error(self, tmp_path, capsys, overrides, field):
+        """Refused when the config is parsed: exit 2, the field named, and
+        no run directory written."""
+        config = _write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "config.json" in err
+        assert not out.exists()
+
+
 class TestOracleCommand:
     def test_matched_zero_noise_instance_passes_all_checks(self, tmp_path, capsys):
         inst = _write_instance(tmp_path)

@@ -416,6 +416,50 @@ class TestDatasets:
             )
 
 
+class TestCategoricalDraws:
+    """Categorical draws come from a CDF built once per law. They must stay
+    what ``Generator.choice(k, size=n, p=p)`` draws, index for index and with
+    the same generator state afterwards, so seeded runs keep their bits."""
+
+    @staticmethod
+    def _random_laws(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            k = int(rng.integers(2, 10))
+            p = rng.dirichlet(np.full(k, float(rng.uniform(0.2, 5.0))))
+            p[-1] = 1.0 - p[:-1].sum()
+            yield k, p
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 31337])
+    def test_cdf_draws_equal_generator_choice(self, seed):
+        for k, p in self._random_laws(seed):
+            cdf = dist._categorical_cdf(p)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in (1, 5, 128, 1000):
+                got = dist._draw_categorical(cdf, n, rng)
+                want = ref.choice(k, size=n, p=p)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_discrete_datasets_and_slabs_draw_like_choice(self, seed):
+        for k, p in self._random_laws(seed):
+            law = dist.DiscreteDist(np.arange(k, dtype=np.float64) * 0.5, p)
+            for sample in (dist.sample_dataset, dist.sample_slab):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for n in (1, 64, 300):
+                    want = law.support[ref.choice(k, size=n, p=p)]
+                    assert sample(law, n, rng).tobytes() == want.tobytes()
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_laws_that_are_never_drawn_build_no_cdf(self):
+        law = dist.DiscreteDist(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        noised = dist.discrete_convolve(law, dist.SpikeSlabNoise(0.5, dist.PointMassSlab([0.5])))
+        assert "_cdf" not in vars(law) and "_cdf" not in vars(noised)
+        dist.sample_dataset(law, 3, np.random.default_rng(0))
+        assert "_cdf" in vars(law)
+
+
 class TestLatentPrior:
     def test_gaussian_latent_moments(self):
         prior = dist.LatentPrior(3, "gaussian")

@@ -275,6 +275,55 @@ class TestBackward:
             np.testing.assert_allclose(a.biases, 2.0 * g.biases, atol=1e-15)
 
 
+    @pytest.mark.parametrize(
+        "acts",
+        [["relu", "tanh", "sigmoid"], ["tanh", "identity", "relu"], ["sigmoid", "sigmoid", "identity"]],
+    )
+    def test_backward_matches_the_per_layer_formulas(self, acts):
+        """``dpre = da * act'(pre)``, ``dW = x.T @ dpre``, ``db = dpre.sum(0)``,
+        ``da = dpre @ W.T``, each as one new array: the in-place kernel gives
+        the same bits."""
+        rng = np.random.default_rng(70)
+        params = nn.init_mlp([3, 6, 5, 2], acts, rng)
+        x = rng.normal(size=(11, 3))
+        x[0] = 0.0  # relu pre-activations at exactly the kink
+        for layer in params.layers:
+            layer.biases[0] = 0.0
+        _, cache = nn.mlp_forward(params, x)
+        out_grad = rng.normal(size=(11, 2))
+        grads, input_grad = nn.mlp_backward(params, cache, out_grad)
+
+        derivative = {
+            "relu": lambda pre, post: (pre > 0).astype(np.float64),
+            "tanh": lambda pre, post: 1.0 - post * post,
+            "sigmoid": lambda pre, post: post * (1.0 - post),
+            "identity": lambda pre, post: np.ones_like(pre),
+        }
+        da, want = out_grad, []
+        for i in range(len(params.layers) - 1, -1, -1):
+            layer = params.layers[i]
+            dpre = da * derivative[layer.activation](cache.pres[i], cache.posts[i])
+            want = [cache.inputs[i].T @ dpre, dpre.sum(axis=0)] + want
+            da = dpre @ layer.weights.T
+        assert [a.tobytes() for a in _arrays(grads)] == [a.tobytes() for a in want]
+        assert input_grad.tobytes() == da.tobytes()
+
+    def test_kernel_input_only_and_params_only_passes_match_the_full_pass(self):
+        """The kernel's input-gradient-only pass (the generator step's pass
+        through D) and its parameter-only pass equal the full public pass,
+        bit for bit."""
+        rng = np.random.default_rng(71)
+        for acts in (["tanh", "tanh", "sigmoid"], ["relu", "sigmoid", "identity"]):
+            params = nn.init_mlp([2, 8, 8, 1], acts, rng)
+            _, cache = nn.mlp_forward(params, rng.normal(size=(16, 2)))
+            out_grad = rng.normal(size=(16, 1))
+            grads, input_grad = nn.mlp_backward(params, cache, out_grad)
+            assert nn._backward(params, cache, out_grad, None).tobytes() == input_grad.tobytes()
+            buf = np.full_like(params.flat, np.nan)
+            assert nn._backward(params, cache, out_grad, buf, input_grad=False) is None
+            assert buf.tobytes() == grads.flat.tobytes()
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = _scalar_param(1.5)

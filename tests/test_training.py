@@ -115,6 +115,30 @@ class TestDiscriminatorObjective:
         assert worst <= 1e-5, f"finite differences disagree: {worst:.3e}"
 
 
+    def test_gradient_is_the_pass_sum_in_pass_order(self):
+        """The gradient is the public backward pass of each real batch, then
+        of the fake batch, added left to right into the first, bit for bit."""
+        rng = np.random.default_rng(9)
+        d_params = nn.init_mlp([2, 7, 5, 1], ["tanh", "relu", "sigmoid"], rng)
+        real = [rng.normal(size=(10, 2)) + shift for shift in (0.0, 1.0, -2.0)]
+        alphas = np.array([0.2, 0.5, 0.3])
+        fake = rng.normal(size=(10, 2))
+        _, grads, _, _ = tr.discriminator_objective(d_params, real, alphas, fake)
+
+        passes = []
+        for alpha, batch in zip(alphas, real):
+            out, cache = nn.mlp_forward(d_params, batch)
+            out_grad = (alpha / 10) * (1.0 / np.clip(out, tr.LOG_EPS, 1.0))
+            passes.append(nn.mlp_backward(d_params, cache, out_grad)[0].flat)
+        out, cache = nn.mlp_forward(d_params, fake)
+        out_grad = -(1.0 / 10) * (1.0 / np.clip(1.0 - out, tr.LOG_EPS, 1.0))
+        passes.append(nn.mlp_backward(d_params, cache, out_grad)[0].flat)
+        want = passes[0].copy()
+        for extra in passes[1:]:
+            want += extra
+        assert grads.flat.tobytes() == want.tobytes()
+
+
 class TestGeneratorObjective:
     @pytest.mark.parametrize("kind", ["minimax", "non_saturating"])
     def test_gradient_matches_finite_differences(self, kind):
@@ -519,3 +543,157 @@ class TestBudget:
         g_params, _ = tr.build_models(config, np.random.default_rng(0))
         with pytest.raises(ValueError):
             tr.evaluate_budget(g_params, config, n_eval=100)
+
+
+class TestNetworkAndEvalFieldsRejected:
+    """Network shape and eval fields are refused when the config is built,
+    each with a message that names the field."""
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"hidden_activation": "swish"}, "hidden_activation"),
+            ({"g_hidden": [0]}, "g_hidden"),
+            ({"d_hidden": [8, -3]}, "d_hidden"),
+            (
+                {
+                    "estimator": HistogramEstimator(np.array([[-3.0, 3.0], [-3.0, 3.0]]), 8),
+                    "eval_samples": 0,
+                },
+                "eval_samples",
+            ),
+        ],
+    )
+    def test_field_is_named(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            _tiny_config(**overrides)
+
+    def test_eval_samples_unused_without_an_estimator(self):
+        assert _tiny_config(eval_samples=0).estimator is None
+
+    def test_empty_hidden_list_is_a_network_without_hidden_layers(self):
+        config = _tiny_config(g_hidden=[], d_hidden=[])
+        g_params, d_params = tr.build_models(config, np.random.default_rng(0))
+        assert len(g_params.layers) == len(d_params.layers) == 1
+
+
+def _snapshot(*objs):
+    """Bytes of every array reachable from params and Adam states, and the step counts."""
+    out = []
+    for obj in objs:
+        if isinstance(obj, nn.MlpParams):
+            out.append(obj.flat.tobytes())
+            out += [a.tobytes() for l in obj.layers for a in (l.weights, l.biases)]
+        else:
+            out.append(obj.step_count)
+            for moment in (obj.first_moment, obj.second_moment):
+                out.append(moment.flat.tobytes())
+                out += [a.tobytes() for g in moment for a in (g.weights, g.biases)]
+    return out
+
+
+class TestStepContract:
+    """The public steps are pure, ``train`` drives them through the module
+    once per step, and a run is exactly a loop over them."""
+
+    @pytest.mark.parametrize("step", ["discriminator_step", "generator_step"])
+    def test_step_leaves_its_inputs_untouched(self, step):
+        config = _tiny_config(batch_size=32)
+        rng = np.random.default_rng(3)
+        g_params, d_params = tr.build_models(config, rng)
+        g_state, d_state = nn.init_adam(g_params), nn.init_adam(d_params)
+        for _ in range(2):  # non-zero moments and step counts
+            d_params, d_state, _ = tr.discriminator_step(d_params, d_state, g_params, config, rng)
+            g_params, g_state, _ = tr.generator_step(g_params, g_state, d_params, config, rng)
+        if step == "discriminator_step":
+            own, state, other = d_params, d_state, g_params
+        else:
+            own, state, other = g_params, g_state, d_params
+        before = _snapshot(own, state, other)
+        new_params, new_state, _ = getattr(tr, step)(own, state, other, config, rng)
+        assert _snapshot(own, state, other) == before
+        assert new_state.step_count == state.step_count + 1
+        assert not np.shares_memory(new_params.flat, own.flat)
+        for moment in ("first_moment", "second_moment"):
+            assert not np.shares_memory(getattr(new_state, moment).flat, getattr(state, moment).flat)
+        assert new_params.flat.tobytes() != own.flat.tobytes()
+
+    def test_train_calls_each_step_through_the_module(self, monkeypatch):
+        config = _tiny_config(k=3, total_samples_n=80, batch_size=16, epochs=2)
+        calls = {"discriminator_step": 0, "generator_step": 0}
+        for name in calls:
+            step = getattr(tr, name)
+
+            def counted(*args, _step=step, _name=name, **kwargs):
+                calls[_name] += 1
+                return _step(*args, **kwargs)
+
+            monkeypatch.setattr(tr, name, counted)
+        result = tr.train(config)
+        steps = config.epochs * config.steps_per_epoch
+        assert len(result.metrics) == steps == 10
+        assert calls == {"discriminator_step": config.k * steps, "generator_step": steps}
+
+    @pytest.mark.parametrize("generator_loss", ["minimax", "non_saturating"])
+    def test_run_equals_a_loop_over_the_public_steps(self, generator_loss):
+        config = _tiny_config(
+            k=2,
+            epochs=2,
+            total_samples_n=48,
+            generator_loss=generator_loss,
+            injection_mode="per_batch",
+            datasets=[
+                tr.DatasetPart(
+                    spec=dist.GaussianMixture(
+                        [_blob([1.0, 0.0], weight=0.25), _blob([-1.0, 0.0], weight=0.75)]
+                    ),
+                    alpha=0.6,
+                    noise=dist.SpikeSlabNoise(0.5, dist.GaussianSlab(np.array([0.5, 0.5]))),
+                ),
+                tr.DatasetPart(
+                    spec=dist.DiscreteDist(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([0.3, 0.7])),
+                    alpha=0.4,
+                    noise=dist.SpikeSlabNoise(0.25, dist.PointMassSlab(np.array([0.5, 0.0]))),
+                ),
+            ],
+        )
+        result = tr.train(config)
+
+        rng = np.random.default_rng(config.seed)
+        g_params, d_params = tr.build_models(config, rng)
+        g_state = nn.init_adam(g_params, **config.g_adam.to_dict())
+        d_state = nn.init_adam(d_params, **config.d_adam.to_dict())
+        expected = []
+        for step in range(1, config.epochs * config.steps_per_epoch + 1):
+            for _ in range(config.k):
+                d_params, d_state, stats = tr.discriminator_step(d_params, d_state, g_params, config, rng)
+            g_params, g_state, g_loss = tr.generator_step(g_params, g_state, d_params, config, rng)
+            expected.append(tr.MetricsRecord(step, stats.loss, g_loss, stats.mean_real, stats.mean_fake))
+
+        assert result.metrics == expected
+        assert [repr(r) for r in result.metrics] == [repr(r) for r in expected]
+        assert result.generator.flat.tobytes() == g_params.flat.tobytes()
+        assert result.discriminator.flat.tobytes() == d_params.flat.tobytes()
+
+
+class TestGeneratorObjectiveBackward:
+    @pytest.mark.parametrize("kind", ["minimax", "non_saturating"])
+    def test_gradient_equals_the_full_backward_chain(self, kind):
+        """The objective backpropagates through D for d(loss)/d(fake) alone;
+        its gradient equals the chain of two full public backward passes,
+        bit for bit."""
+        rng = np.random.default_rng(40)
+        g_params = nn.init_mlp([3, 7, 5, 2], ["tanh", "relu", "identity"], rng)
+        d_params = nn.init_mlp([2, 6, 4, 1], ["sigmoid", "tanh", "sigmoid"], rng)
+        z = rng.normal(size=(9, 3))
+        value, grads = tr.generator_objective(g_params, d_params, z, kind)
+
+        fake, g_cache = nn.mlp_forward(g_params, z)
+        score, d_cache = nn.mlp_forward(d_params, fake)
+        clipped = np.clip(1.0 - score if kind == "minimax" else score, tr.LOG_EPS, 1.0)
+        score_grad = -(1.0 / 9) * (1.0 / clipped)
+        _, fake_grad = nn.mlp_backward(d_params, d_cache, score_grad)
+        want, _ = nn.mlp_backward(g_params, g_cache, fake_grad)
+        assert grads.flat.tobytes() == want.flat.tobytes()
+        sign = 1.0 if kind == "minimax" else -1.0
+        assert value == sign * float(np.mean(np.log(clipped)))
