@@ -48,6 +48,7 @@ from .nn import (
     init_adam,
     init_mlp,
     load_checkpoint,
+    mlp_apply,
     mlp_backward,
     mlp_forward,
     save_checkpoint,

@@ -239,11 +239,12 @@ def _sigmoid(pre: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0 - LOG_EPS, out=out)
 
 
-def _activate(name: str, pre: np.ndarray) -> np.ndarray:
+def _activate(name: str, pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation at ``pre``; relu and tanh write into ``out`` when given."""
     if name == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(pre)
+        return np.tanh(pre, out=out)
     if name == "sigmoid":
         return _sigmoid(pre)
     return pre  # identity
@@ -284,6 +285,24 @@ def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, ForwardCache]:
     if not np.isfinite(h).all():
         raise NonFiniteError("forward output", layer=len(params.layers) - 1)
     return h, ForwardCache(inputs, pres, posts)
+
+
+def mlp_apply(params: MlpParams, x) -> np.ndarray:
+    """``mlp_forward(params, x)[0]``, bit for bit, with no backward cache.
+
+    Each layer's activation runs in place on that layer's fresh product
+    (sigmoid builds its own), so a large batch costs about its arithmetic.
+    """
+    h = as_batch(x)
+    for i, layer in enumerate(params.layers):
+        if h.shape[1] != layer.fan_in:
+            raise ShapeMismatchError(i, (h.shape[0], layer.fan_in), h.shape)
+        h = h @ layer.weights
+        h += layer.biases
+        h = _activate(layer.activation, h, out=h)
+    if not np.isfinite(h).all():
+        raise NonFiniteError("forward output", layer=len(params.layers) - 1)
+    return h
 
 
 def _backward(

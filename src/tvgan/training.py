@@ -5,12 +5,17 @@ generator descent. Every discriminator minibatch is pushed through its
 dataset's spike-and-slab channel before scoring, so the discriminator learns
 to match the noised mixture while the clean data stays within ``gamma`` total
 variation of what it sees. Runs are fully deterministic given the config seed.
+
+The generator forward of each histogram eval runs on one worker thread while
+training goes on; its record is completed at the next eval or at the end of
+the run, so the numbers are the same as an inline eval's.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -21,6 +26,8 @@ from .distributions import (
     DatasetSpec,
     LatentPrior,
     SpikeSlabNoise,
+    _categorical_cdf,
+    _draw_categorical,
     dataset_dimension,
     dataset_spec_from_dict,
     dataset_spec_to_dict,
@@ -57,6 +64,17 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+
+    def __post_init__(self):
+        # the usual Adam rules; a beta of 1 divides by zero in the bias correction
+        for name in ("lr", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -142,6 +160,8 @@ class TrainConfig:
             )
         if self.estimator is not None and self.eval_samples < 1:
             raise ValueError(f"eval_samples must be >= 1 with an estimator, got {self.eval_samples}")
+        if self.samples_out < 0:
+            raise ValueError(f"samples_out must be >= 0, got {self.samples_out}")
 
     @property
     def data_dim(self) -> int:
@@ -204,6 +224,13 @@ class TrainConfig:
         except KeyError as exc:
             raise ValueError(f"config missing required field: {exc}") from exc
         est = d.get("estimator")
+
+        def adam(name):
+            try:
+                return AdamConfig.from_dict(d.get(name, {}))
+            except ValueError as exc:  # its message starts with the field's name
+                raise ValueError(f"{name}.{exc}") from None
+
         return TrainConfig(
             datasets=datasets,
             latent=latent,
@@ -216,8 +243,8 @@ class TrainConfig:
             epochs=int(d.get("epochs", 1)),
             injection_mode=str(d.get("injection_mode", "per_sample")),
             generator_loss=str(d.get("generator_loss", "minimax")),
-            g_adam=AdamConfig.from_dict(d.get("g_adam", {})),
-            d_adam=AdamConfig.from_dict(d.get("d_adam", {})),
+            g_adam=adam("g_adam"),
+            d_adam=adam("d_adam"),
             eval_every=int(d.get("eval_every", 100)),
             eval_samples=int(d.get("eval_samples", 20000)),
             estimator=None if est is None else HistogramEstimator.from_dict(est),
@@ -372,7 +399,7 @@ def discriminator_step(
         noised, _ = inject_noise(batch, part.noise, config.injection_mode, rng)
         real_batches.append(noised)
     z = sample_latent(config.latent, config.batch_size, rng)
-    fake = nn.mlp_forward(g_params, z)[0]
+    fake = nn.mlp_apply(g_params, z)
     grads, scratch = np.empty((2, d_params.flat.size))
     value, mean_real, mean_fake = _discriminator_objective(
         d_params, real_batches, config.alphas, fake, grads, scratch
@@ -407,7 +434,7 @@ def generator_step(
 
 def sample_clean_mixture(config: TrainConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw from the alpha-weighted mixture of the clean (un-noised) datasets."""
-    which = rng.choice(len(config.datasets), size=n, p=config.alphas)
+    which = _draw_categorical(_categorical_cdf(config.alphas), n, rng)
     out = np.zeros((n, config.data_dim))
     for l, part in enumerate(config.datasets):
         rows = which == l
@@ -421,7 +448,7 @@ def generator_sample(
     g_params: nn.MlpParams, latent: LatentPrior, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     z = sample_latent(latent, n, rng)
-    return nn.mlp_forward(g_params, z)[0]
+    return nn.mlp_apply(g_params, z)
 
 
 @dataclass
@@ -429,6 +456,38 @@ class TrainResult:
     generator: nn.MlpParams
     discriminator: nn.MlpParams
     metrics: list[MetricsRecord]
+
+
+class _Eval:
+    """One histogram eval in flight: the clean sample is drawn, and the
+    generator forward ``nn.mlp_apply(g_params, z)`` runs on a worker thread.
+
+    The thread runs nothing else: the estimator stays on the calling thread,
+    where its Python-heavy binning does not contend with training for the GIL.
+    ``g_params`` is not copied; the pure steps never change it afterwards.
+    """
+
+    def __init__(self, index: int, data: np.ndarray, g_params: nn.MlpParams, z: np.ndarray):
+        self.index, self.data = index, data
+        self._fake = self._error = None
+        self.thread = threading.Thread(target=self._forward, args=(g_params, z), name="tvgan-eval")
+        self.thread.start()
+
+    def _forward(self, g_params, z):
+        try:
+            self._fake = nn.mlp_apply(g_params, z)
+        except BaseException as exc:  # re-raised on the calling thread by ``finish``
+            self._error = exc
+
+    def finish(self, metrics: list[MetricsRecord], estimator: HistogramEstimator) -> None:
+        """Join the thread and fill in the estimates of record ``index``."""
+        self.thread.join()
+        if self._error is not None:
+            raise self._error
+        report = estimate_divergences(self.data, self._fake, estimator)
+        metrics[self.index] = replace(
+            metrics[self.index], tv_estimate=report.tv, jsd_estimate=report.jsd_nats
+        )
 
 
 def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult:
@@ -439,39 +498,52 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
     divergence estimates against a fresh clean-mixture sample every
     ``eval_every`` steps. If ``out_dir`` is given, metrics, checkpoints, and a
     final generator sample are written there at the end.
+
+    An eval draws its clean and latent samples at its step, then overlaps its
+    generator forward with the following steps (``_Eval``); at most one is in
+    flight, and its estimates are filled in at the next eval or after the
+    loop. An error on the worker thread is raised from there, and no thread
+    outlives the call.
     """
     rng = np.random.default_rng(config.seed)
     g_params, d_params = build_models(config, rng)
     g_state = nn.init_adam(g_params, **config.g_adam.to_dict())
     d_state = nn.init_adam(d_params, **config.d_adam.to_dict())
     metrics: list[MetricsRecord] = []
+    pending: _Eval | None = None
     step = 0
-    for _ in range(config.epochs):
-        for _ in range(config.steps_per_epoch):
-            stats = None
-            for _ in range(config.k):
-                d_params, d_state, stats = discriminator_step(
-                    d_params, d_state, g_params, config, rng
+    try:
+        for _ in range(config.epochs):
+            for _ in range(config.steps_per_epoch):
+                stats = None
+                for _ in range(config.k):
+                    d_params, d_state, stats = discriminator_step(
+                        d_params, d_state, g_params, config, rng
+                    )
+                g_params, g_state, g_loss = generator_step(
+                    g_params, g_state, d_params, config, rng
                 )
-            g_params, g_state, g_loss = generator_step(
-                g_params, g_state, d_params, config, rng
-            )
-            step += 1
-            record = MetricsRecord(
-                step=step,
-                d_loss=stats.loss,
-                g_loss=g_loss,
-                d_real=stats.mean_real,
-                d_fake=stats.mean_fake,
-            )
-            if config.estimator is not None and step % config.eval_every == 0:
-                data = sample_clean_mixture(config, config.eval_samples, rng)
-                fake = generator_sample(g_params, config.latent, config.eval_samples, rng)
-                report = estimate_divergences(data, fake, config.estimator)
-                record = replace(
-                    record, tv_estimate=report.tv, jsd_estimate=report.jsd_nats
+                step += 1
+                metrics.append(
+                    MetricsRecord(
+                        step=step,
+                        d_loss=stats.loss,
+                        g_loss=g_loss,
+                        d_real=stats.mean_real,
+                        d_fake=stats.mean_fake,
+                    )
                 )
-            metrics.append(record)
+                if config.estimator is not None and step % config.eval_every == 0:
+                    if pending is not None:
+                        pending.finish(metrics, config.estimator)
+                    data = sample_clean_mixture(config, config.eval_samples, rng)
+                    z = sample_latent(config.latent, config.eval_samples, rng)
+                    pending = _Eval(len(metrics) - 1, data, g_params, z)
+        if pending is not None:
+            pending.finish(metrics, config.estimator)
+    finally:
+        if pending is not None:
+            pending.thread.join()
     result = TrainResult(g_params, d_params, metrics)
     if out_dir is not None:
         write_run_outputs(result, config, out_dir, rng)

@@ -258,6 +258,11 @@ class TestTrainCommand:
                 },
                 "eval_samples",
             ),
+            ({"samples_out": -5}, "samples_out"),
+            ({"d_adam": {"beta1": 1.0}}, "d_adam.beta1"),
+            ({"g_adam": {"beta2": 1.0}}, "g_adam.beta2"),
+            ({"g_adam": {"lr": float("nan")}}, "g_adam.lr"),
+            ({"d_adam": {"lr": -1e-3}}, "d_adam.lr"),
         ],
     )
     def test_bad_network_or_eval_field_is_a_usage_error(self, tmp_path, capsys, overrides, field):

@@ -179,6 +179,66 @@ class TestForward:
             nn.Layer(np.zeros((2, 2)), np.zeros(2), "softplus")
 
 
+class TestApply:
+    """``mlp_apply`` is ``mlp_forward(...)[0]`` without the cache: the same
+    bits, and the same errors for the same faults."""
+
+    SIZES = ([3, 1], [2, 5, 3], [4, 8, 8, 2])
+
+    @staticmethod
+    def _same_error(error, params, x):
+        errors = []
+        for fn in (lambda: nn.mlp_forward(params, x), lambda: nn.mlp_apply(params, x)):
+            with pytest.raises(error) as err:
+                fn()
+            errors.append(err.value)
+        forward, apply = errors
+        assert type(apply) is type(forward) and str(apply) == str(forward)
+        assert apply.layer == forward.layer
+        return apply
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
+    def test_output_equals_forward_bit_for_bit(self, activation, sizes):
+        rng = np.random.default_rng(len(sizes))
+        hidden = [activation] * (len(sizes) - 2)
+        for last in (activation, "identity", "sigmoid"):
+            params = nn.init_mlp(sizes, hidden + [last], rng)
+            params.flat += rng.normal(scale=0.3, size=params.flat.size)  # non-zero biases
+            for rows in (1, 7, 300):
+                x = rng.normal(scale=2.0, size=(rows, sizes[0]))
+                before = x.tobytes()
+                got = nn.mlp_apply(params, x)
+                want = nn.mlp_forward(params, x)[0]
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert x.tobytes() == before
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
+    def test_bad_width_raises_like_forward(self, sizes):
+        params = nn.init_mlp(sizes, ["tanh"] * (len(sizes) - 1), np.random.default_rng(2))
+        err = self._same_error(nn.ShapeMismatchError, params, np.ones((5, sizes[0] + 1)))
+        assert err.layer == 0 and err.expected == (5, sizes[0]) and err.actual == (5, sizes[0] + 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_like_forward(self, bad):
+        params = nn.init_mlp([2, 4, 1], ["relu", "sigmoid"], np.random.default_rng(3))
+        x = np.ones((3, 2))
+        x[1, 0] = bad
+        self._same_error(nn.NonFiniteError, params, x)
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_overflowing_weight_raises_like_forward_with_the_layer(self, activation):
+        params = nn.init_mlp([2, 4, 3], [activation, "identity"], np.random.default_rng(4))
+        np.abs(params.layers[0].weights, out=params.layers[0].weights)  # hidden units > 0.5
+        params.layers[-1].weights[:] = 1e308
+        params.layers[-1].biases[:] = 1e308
+        x = np.full((6, 2), 5.0)
+        with np.errstate(all="ignore"):
+            err = self._same_error(nn.NonFiniteError, params, x)
+        assert err.layer == len(params.layers) - 1
+
+
 class TestBackward:
     def test_zero_output_grad_gives_zero_param_grads(self):
         rng = np.random.default_rng(11)

@@ -7,6 +7,7 @@ gating, determinism, artifact layout) is pinned with tiny seeded runs.
 """
 
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from tvgan import distributions as dist
 from tvgan import nn
 from tvgan import training as tr
-from tvgan.divergence import HistogramEstimator
+from tvgan.divergence import HistogramEstimator, estimate_divergences
 
 
 def _blob(mean, var=0.0625, weight=1.0):
@@ -487,6 +488,38 @@ class TestSampling:
         frac_high = float(np.mean(x[:, 0] > 5.0))
         assert abs(frac_high - 0.75) < 0.02
 
+    @staticmethod
+    def _choice_clean_mixture(config, n, rng):
+        """The mixture draw as first written, with ``Generator.choice``."""
+        which = rng.choice(len(config.datasets), size=n, p=config.alphas)
+        out = np.zeros((n, config.data_dim))
+        for l, part in enumerate(config.datasets):
+            rows = which == l
+            count = int(rows.sum())
+            if count:
+                out[rows] = dist.sample_dataset(part.spec, count, rng)
+        return out
+
+    @pytest.mark.parametrize("alphas", [(1.0,), (0.3, 0.7), (0.5, 0.3, 0.2)])
+    def test_clean_mixture_draws_like_generator_choice(self, alphas):
+        specs = [
+            dist.GaussianMixture([_blob([1.0, -1.0], weight=0.5), _blob([0.0, 2.0], weight=0.5)]),
+            dist.DiscreteDist(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.5]]), np.array([0.2, 0.5, 0.3])),
+            dist.Ring(2.0, 0.05),
+        ]
+        parts = [
+            tr.DatasetPart(spec=spec, alpha=alpha, noise=_zero_noise(2))
+            for spec, alpha in zip(specs, alphas)
+        ]
+        config = _tiny_config(datasets=parts)
+        for seed in (0, 9):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in (1, 50, 2000):
+                got = tr.sample_clean_mixture(config, n, rng)
+                want = self._choice_clean_mixture(config, n, ref)
+                assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_generator_sample_shape_and_determinism(self):
         config = _tiny_config()
         g_params, _ = tr.build_models(config, np.random.default_rng(1))
@@ -568,6 +601,34 @@ class TestNetworkAndEvalFieldsRejected:
         with pytest.raises(ValueError, match=field):
             _tiny_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "network,field,value",
+        [
+            ("d_adam", "beta1", 1.0),
+            ("g_adam", "beta2", 1.0),
+            ("g_adam", "beta1", -0.1),
+            ("d_adam", "lr", -1e-3),
+            ("g_adam", "lr", float("nan")),
+            ("d_adam", "lr", float("inf")),
+            ("g_adam", "epsilon", -1e-8),
+        ],
+    )
+    def test_adam_settings_follow_the_adam_rules(self, network, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.AdamConfig(**{field: value})
+        raw = _tiny_config().to_dict()
+        raw[network] = {**raw[network], field: value}
+        with pytest.raises(ValueError, match=rf"^{network}\.{field} "):
+            tr.TrainConfig.from_dict(raw)
+
+    def test_adam_edge_values_are_accepted(self):
+        tr.AdamConfig(lr=0.0, beta1=0.0, beta2=0.0, epsilon=0.0)
+
+    def test_negative_samples_out_is_named(self):
+        with pytest.raises(ValueError, match="samples_out"):
+            _tiny_config(samples_out=-5)
+        assert _tiny_config(samples_out=0).samples_out == 0
+
     def test_eval_samples_unused_without_an_estimator(self):
         assert _tiny_config(eval_samples=0).estimator is None
 
@@ -634,9 +695,22 @@ class TestStepContract:
         assert len(result.metrics) == steps == 10
         assert calls == {"discriminator_step": config.k * steps, "generator_step": steps}
 
-    @pytest.mark.parametrize("generator_loss", ["minimax", "non_saturating"])
-    def test_run_equals_a_loop_over_the_public_steps(self, generator_loss):
+    @pytest.mark.parametrize(
+        "generator_loss,evals",
+        [
+            pytest.param("minimax", False, id="minimax"),
+            pytest.param("non_saturating", False, id="non_saturating"),
+            pytest.param("minimax", True, id="minimax-eval_every_2"),
+            pytest.param("non_saturating", True, id="non_saturating-eval_every_2"),
+        ],
+    )
+    def test_run_equals_a_loop_over_the_public_steps(self, generator_loss, evals):
+        """With evals, the reference evaluates inline at each eval step; the
+        run's overlapped evals must give the same records."""
+        estimator = HistogramEstimator(np.array([[-3.0, 3.0], [-1.0, 3.0]]), 8) if evals else None
         config = _tiny_config(
+            estimator=estimator,
+            eval_every=2,
             k=2,
             epochs=2,
             total_samples_n=48,
@@ -668,12 +742,82 @@ class TestStepContract:
             for _ in range(config.k):
                 d_params, d_state, stats = tr.discriminator_step(d_params, d_state, g_params, config, rng)
             g_params, g_state, g_loss = tr.generator_step(g_params, g_state, d_params, config, rng)
-            expected.append(tr.MetricsRecord(step, stats.loss, g_loss, stats.mean_real, stats.mean_fake))
+            record = tr.MetricsRecord(step, stats.loss, g_loss, stats.mean_real, stats.mean_fake)
+            if evals and step % config.eval_every == 0:
+                data = tr.sample_clean_mixture(config, config.eval_samples, rng)
+                fake = tr.generator_sample(g_params, config.latent, config.eval_samples, rng)
+                report = estimate_divergences(data, fake, config.estimator)
+                record.tv_estimate, record.jsd_estimate = report.tv, report.jsd_nats
+            expected.append(record)
 
+        assert sum(r.tv_estimate is not None for r in expected) == (3 if evals else 0)
         assert result.metrics == expected
         assert [repr(r) for r in result.metrics] == [repr(r) for r in expected]
         assert result.generator.flat.tobytes() == g_params.flat.tobytes()
         assert result.discriminator.flat.tobytes() == d_params.flat.tobytes()
+
+
+class TestOverlappedEval:
+    """An eval's generator forward runs on a worker thread while training
+    goes on; its errors reach the caller and no thread outlives ``train``."""
+
+    @staticmethod
+    def _config():
+        est = HistogramEstimator(np.array([[-3.0, 3.0], [-3.0, 3.0]]), 8)
+        return _tiny_config(estimator=est, eval_every=2, eval_samples=300, total_samples_n=96)
+
+    def test_a_run_leaves_no_thread_behind(self):
+        threads = threading.active_count()
+        result = tr.train(self._config())
+        assert [r.step for r in result.metrics if r.tv_estimate is not None] == [2, 4, 6]
+        assert threading.active_count() == threads
+
+    def test_error_in_the_eval_forward_is_raised(self, monkeypatch):
+        config = self._config()
+        apply = nn.mlp_apply
+        evals = []
+
+        def failing(params, x):
+            if x.shape[0] == config.eval_samples:
+                evals.append(threading.current_thread() is not threading.main_thread())
+                raise nn.NonFiniteError("forward output", layer=2)
+            return apply(params, x)
+
+        monkeypatch.setattr(nn, "mlp_apply", failing)
+        threads = threading.active_count()
+        with pytest.raises(nn.NonFiniteError, match="layer 2"):
+            tr.train(config)
+        assert evals == [True]
+        assert threading.active_count() == threads
+
+    def test_error_in_training_while_an_eval_is_in_flight(self, monkeypatch):
+        config = self._config()
+        apply, step = nn.mlp_apply, tr.discriminator_step
+        started, release = threading.Event(), threading.Event()
+        calls, running = [], []
+
+        def held(params, x):  # the eval forward waits until the D step fails
+            if x.shape[0] == config.eval_samples:
+                started.set()
+                release.wait(30)
+            return apply(params, x)
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3 * config.k:  # the first D step after the first eval
+                assert started.wait(30)
+                running.append(threading.active_count())
+                release.set()
+                raise RuntimeError("discriminator step failed")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "mlp_apply", held)
+        monkeypatch.setattr(tr, "discriminator_step", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="discriminator step failed"):
+            tr.train(config)
+        assert running == [threads + 1]
+        assert threading.active_count() == threads
 
 
 class TestGeneratorObjectiveBackward:
