@@ -69,6 +69,8 @@ def _load_samples(path: str) -> np.ndarray:
         raise UsageError(f"{p}: not a numeric sample matrix: {exc}") from exc
     if data.size == 0:
         raise UsageError(f"{p}: no samples")
+    if not np.isfinite(data).all():
+        raise UsageError(f"{p}: non-finite values")
     return data
 
 
@@ -198,6 +200,12 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(f"bad --sizes (want comma-separated ints): {exc}") from exc
     if len(sizes) < 2:
         raise UsageError("--sizes needs at least input and output widths")
+    if min(sizes) < 1:
+        raise UsageError(f"--sizes widths must be >= 1, got {args.sizes}")
+    if not (np.isfinite(args.step) and args.step > 0):
+        raise UsageError(f"--step must be finite and > 0, got {args.step!r}")
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol!r}")
     rng = np.random.default_rng(args.seed)
     params = nn.init_mlp(sizes, [args.activation] * (len(sizes) - 2) + ["identity"], rng)
     x = rng.standard_normal((4, sizes[0]))

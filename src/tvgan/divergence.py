@@ -72,12 +72,14 @@ class HistogramEstimator:
             self.bounds = self.bounds.reshape(1, 2)
         if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
             raise ValueError("bounds must be a [d, 2] array of [low, high] pairs")
+        if not np.isfinite(self.bounds).all():
+            raise ValueError(f"bounds must be finite, got {self.bounds.tolist()}")
         if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
             raise ValueError("each dimension needs low < high")
         if self.bins_per_dim < 2:
             raise ValueError("bins_per_dim must be >= 2")
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
+        if not (np.isfinite(self.smoothing) and self.smoothing >= 0):
+            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing!r}")
 
     @property
     def dimension(self) -> int:
@@ -101,6 +103,8 @@ class HistogramEstimator:
                 f"samples have dimension {samples.shape[1]}, estimator expects "
                 f"{self.dimension}"
             )
+        if not np.isfinite(samples).all():
+            raise ValueError("samples contain non-finite values")
         low = self.bounds[:, 0]
         high = self.bounds[:, 1]
         outside = np.any((samples < low) | (samples > high), axis=1)

@@ -2,10 +2,10 @@
 
 Everything is float64 and the public functions are pure: they take parameter
 containers and return new ones, so callers own all state. Batches are 2-D
-numpy arrays with one sample per row. Each network, its gradients and its
-Adam moments are held as one contiguous vector laid out W0, b0, W1, b1, ...
-row-major (the checkpoint blob's layout); the per-layer arrays are views into
-it, at offsets computed once per network (``_Layout``).
+numpy arrays with one sample per row. A network is one vector laid out W0,
+b0, W1, b1, ... row-major (the checkpoint blob's layout), its layers' arrays
+are views into it at offsets computed once (``_Layout``), and its gradients
+and Adam moments are plain vectors of the same layout.
 
 Backward and Adam each have one in-place kernel (``_backward``,
 ``_adam_in_place``) that writes into vectors its caller owns and builds no
@@ -17,7 +17,7 @@ once and run it; ``training`` runs the kernels on one working copy per step
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -156,14 +156,6 @@ class MlpParams:
         for layer, (w, b) in zip(self.layers, self._layout.views(self.flat)):
             layer.weights, layer.biases = w, b
 
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].fan_in
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].fan_out
-
     def copy(self) -> "MlpParams":
         return _wrap(self, self.flat.copy())
 
@@ -175,30 +167,6 @@ def _wrap(like: MlpParams, flat: np.ndarray) -> MlpParams:
         for l, (w, b) in zip(like.layers, like._layout.views(flat))
     ]
     return _unchecked(MlpParams, layers=layers, flat=flat, _layout=like._layout)
-
-
-@dataclass
-class LayerGrads:
-    """Per-layer arrays shaped like (weights, biases); also used for Adam moments."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-
-
-class FlatGrads(list):
-    """A list of :class:`LayerGrads` that are views into one vector ``flat``,
-    laid out like ``MlpParams.flat``; edit them in place, never rebind them."""
-
-    def __init__(self, like: MlpParams, flat: np.ndarray):
-        super().__init__([LayerGrads(w, b) for w, b in like._layout.views(flat)])
-        self.flat = flat
-
-
-def _as_vector(grads: list[LayerGrads]) -> np.ndarray:
-    """``grads`` as one vector laid out like ``MlpParams.flat``."""
-    if isinstance(grads, FlatGrads):
-        return grads.flat
-    return np.concatenate([a.ravel() for g in grads for a in (g.weights, g.biases)], dtype=np.float64)
 
 
 @dataclass
@@ -340,41 +308,41 @@ def _backward(
 
 def mlp_backward(
     params: MlpParams, cache: ForwardCache, output_grad: np.ndarray
-) -> tuple[FlatGrads, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode pass: exact derivatives of the forward map.
 
-    ``output_grad`` is d(loss)/d(output); returns the parameter gradients (as
-    :class:`FlatGrads` over a new vector) and the gradient with respect to the
-    batch input.
+    ``output_grad`` is d(loss)/d(output); returns the parameter gradients, a
+    new vector laid out like ``params.flat``, and the gradient with respect to
+    the batch input.
     """
     grads = np.empty_like(params.flat)
     input_grad = _backward(params, cache, output_grad, grads)
-    return FlatGrads(params, grads), input_grad
+    return grads, input_grad
 
 
-def zero_grads(params: MlpParams) -> FlatGrads:
-    return FlatGrads(params, np.zeros_like(params.flat))
+# Training uses neither. Both stay because the benchmark tracer looks them up by name
+# (perfbench/tracing.py::TRACED), and Tracer.install raises AttributeError for a missing one.
+def zero_grads(params: MlpParams) -> np.ndarray:
+    return np.zeros_like(params.flat)
 
 
-def add_grads(total: list[LayerGrads], extra: list[LayerGrads]) -> list[LayerGrads]:
+def add_grads(total: np.ndarray, extra: np.ndarray) -> np.ndarray:
     """Accumulate ``extra`` into ``total`` in place and return it."""
-    for t, e in zip(total, extra):
-        t.weights += e.weights
-        t.biases += e.biases
+    total += extra
     return total
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments for one network, each a :class:`FlatGrads`."""
+    """Bias-corrected Adam moments for one network, vectors laid out like ``MlpParams.flat``."""
 
     lr: float
     beta1: float
     beta2: float
     epsilon: float
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
-    first_moment: list[LayerGrads] = field(default_factory=list)
-    second_moment: list[LayerGrads] = field(default_factory=list)
 
 
 def init_adam(
@@ -384,23 +352,28 @@ def init_adam(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
-    m, v = (FlatGrads(params, np.zeros_like(params.flat)) for _ in range(2))
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, first_moment=m, second_moment=v)
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    return AdamState(lr, beta1, beta2, epsilon, first_moment=m, second_moment=v)
 
 
 def _working_copy(params: MlpParams, state: AdamState) -> tuple[MlpParams, AdamState]:
-    """Copies of ``params`` and ``state``, moments as :class:`FlatGrads`, for
-    the in-place kernels to update while the originals stay untouched."""
-    m, v = (FlatGrads(params, _as_vector(x).copy()) for x in (state.first_moment, state.second_moment))
-    state = AdamState(state.lr, state.beta1, state.beta2, state.epsilon, state.step_count, m, v)
-    return params.copy(), state
+    """Copies of ``params`` and ``state`` for the in-place kernels to update."""
+    m, v = state.first_moment.copy(), state.second_moment.copy()
+    return params.copy(), replace(state, first_moment=m, second_moment=v)
+
+
+def _as_grad(params: MlpParams, grads) -> np.ndarray:
+    """``grads`` as a float64 vector, checked to be laid out like ``params.flat``."""
+    g = _as_f64(grads)
+    if g.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match parameters {params.flat.shape}")
+    return g
 
 
 def _adam_in_place(params: MlpParams, g: np.ndarray, state: AdamState, direction: str) -> None:
     """Adam kernel: one bias-corrected update of ``params`` and ``state``, in place.
 
-    ``g`` is the gradient vector, laid out like ``params.flat``; the moments
-    of ``state`` must be :class:`FlatGrads` (``_working_copy`` makes them so).
+    ``g`` is the gradient vector, laid out like ``params.flat``.
     ``direction="ascend"`` moves parameters up the gradient, ``"descend"`` down.
     """
     if direction not in ("ascend", "descend"):
@@ -408,7 +381,7 @@ def _adam_in_place(params: MlpParams, g: np.ndarray, state: AdamState, direction
     if not np.isfinite(g).all():
         raise NonFiniteError("gradients", layer=params._layout.first_non_finite_layer(g))
     t = state.step_count + 1
-    m, v, flat = state.first_moment.flat, state.second_moment.flat, params.flat
+    m, v, flat = state.first_moment, state.second_moment, params.flat
     # The operations of
     #   m = beta1 * m + (1 - beta1) * g,   v = beta2 * v + (1 - beta2) * g * g,
     #   step = lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + epsilon),
@@ -438,43 +411,39 @@ def _adam_in_place(params: MlpParams, g: np.ndarray, state: AdamState, direction
 
 def adam_step(
     params: MlpParams,
-    grads: list[LayerGrads],
+    grads: np.ndarray,
     state: AdamState,
     direction: str = "descend",
 ) -> tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update with the requested sign.
 
-    ``direction="ascend"`` moves parameters up the gradient (discriminator),
-    ``"descend"`` moves them down (generator). Returns fresh params and state
-    and leaves its inputs untouched.
+    ``grads`` is a vector laid out like ``params.flat``. ``direction="ascend"``
+    moves parameters up the gradient (discriminator), ``"descend"`` moves them
+    down (generator). Returns fresh params and state and leaves its inputs
+    untouched.
     """
-    if len(grads) != len(params.layers):
-        raise ValueError("gradient list length does not match layer count")
-    for i, (layer, g) in enumerate(zip(params.layers, grads)):
-        for have, want in ((g.weights, layer.weights), (g.biases, layer.biases)):
-            if have.shape != want.shape:
-                raise ShapeMismatchError(i, want.shape, have.shape)
-    g = _as_vector(grads)
+    g = _as_grad(params, grads)
     params, state = _working_copy(params, state)
     _adam_in_place(params, g, state, direction)
     return params, state
 
 
-LossFn = Callable[[MlpParams], tuple[float, list[LayerGrads]]]
+LossFn = Callable[[MlpParams], tuple[float, np.ndarray]]
 
 
 def grad_check(params: MlpParams, loss: LossFn, h: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
-    ``loss`` maps params to ``(scalar value, per-layer analytic grads)``; only
-    the value is used for the numeric side. Returns the worst relative error
+    ``loss`` maps params to ``(scalar value, analytic gradient)``, the
+    gradient a vector laid out like ``params.flat``; only the value is used
+    for the numeric side. Returns the worst relative error
     ``|analytic - numeric| / max(1e-12, |analytic| + |numeric|)`` over all
     parameters. Params are perturbed in place and restored before returning.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     _, analytic = loss(params)
-    g = _as_vector(analytic)
+    g = _as_grad(params, analytic)
     flat = params.flat
     worst = 0.0
     for j in range(flat.size):

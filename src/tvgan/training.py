@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import threading
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,12 @@ class TrainConfig:
             raise ValueError(f"config missing required field: {exc}") from exc
         est = d.get("estimator")
 
+        def get(name):
+            if name in d:
+                return d[name]
+            f = next(f for f in fields(TrainConfig) if f.name == name)
+            return f.default_factory() if f.default is MISSING else f.default
+
         def adam(name):
             try:
                 return AdamConfig.from_dict(d.get(name, {}))
@@ -234,23 +241,31 @@ class TrainConfig:
         return TrainConfig(
             datasets=datasets,
             latent=latent,
-            g_hidden=[int(w) for w in d.get("g_hidden", [32, 32])],
-            d_hidden=[int(w) for w in d.get("d_hidden", [32, 32])],
-            hidden_activation=str(d.get("hidden_activation", "tanh")),
-            k=int(d.get("k", 1)),
-            batch_size=int(d.get("batch_size", 64)),
-            total_samples_n=int(d.get("total_samples_n", 6400)),
-            epochs=int(d.get("epochs", 1)),
-            injection_mode=str(d.get("injection_mode", "per_sample")),
-            generator_loss=str(d.get("generator_loss", "minimax")),
+            g_hidden=[_whole_number("g_hidden", w) for w in get("g_hidden")],
+            d_hidden=[_whole_number("d_hidden", w) for w in get("d_hidden")],
+            hidden_activation=str(get("hidden_activation")),
+            injection_mode=str(get("injection_mode")),
+            generator_loss=str(get("generator_loss")),
             g_adam=adam("g_adam"),
             d_adam=adam("d_adam"),
-            eval_every=int(d.get("eval_every", 100)),
-            eval_samples=int(d.get("eval_samples", 20000)),
             estimator=None if est is None else HistogramEstimator.from_dict(est),
-            samples_out=int(d.get("samples_out", 5000)),
-            seed=int(d.get("seed", 0)),
+            **{name: _whole_number(name, get(name)) for name in _WHOLE_NUMBER_FIELDS},
         )
+
+
+_WHOLE_NUMBER_FIELDS = (
+    "k", "batch_size", "total_samples_n", "epochs", "eval_every", "eval_samples", "samples_out", "seed"
+)
+
+
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int. A JSON number with a fractional part, a boolean or a
+    string is refused rather than truncated or coerced."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass
@@ -288,18 +303,18 @@ def discriminator_objective(
     real_batches: list[np.ndarray],
     alphas: np.ndarray,
     fake_batch: np.ndarray,
-) -> tuple[float, nn.FlatGrads, float, float]:
+) -> tuple[float, np.ndarray, float, float]:
     """Ascending objective for fixed minibatches, with its exact gradient.
 
     ``sum_l alpha_l * mean_i log D(x_l_i) + mean_i log(1 - D(fake_i))``.
-    Returns (value, grads w.r.t. discriminator params, mean score on real
-    data weighted by alpha, mean score on fakes).
+    Returns (value, gradient vector laid out like ``d_params.flat``, mean
+    score on real data weighted by alpha, mean score on fakes).
     """
     grads, scratch = np.empty((2, d_params.flat.size))
     value, mean_real, mean_fake = _discriminator_objective(
         d_params, real_batches, alphas, fake_batch, grads, scratch
     )
-    return value, nn.FlatGrads(d_params, grads), mean_real, mean_fake
+    return value, grads, mean_real, mean_fake
 
 
 def _discriminator_objective(d_params, real_batches, alphas, fake_batch, grads, scratch):
@@ -341,8 +356,9 @@ def generator_objective(
     d_params: nn.MlpParams,
     latent_batch: np.ndarray,
     loss_kind: str = "minimax",
-) -> tuple[float, list[nn.LayerGrads]]:
-    """Descending objective for a fixed latent minibatch, with its gradient.
+) -> tuple[float, np.ndarray]:
+    """Descending objective for a fixed latent minibatch, with its gradient
+    vector, laid out like ``g_params.flat``.
 
     ``minimax`` descends ``mean log(1 - D(G(z)))``; ``non_saturating``
     descends ``-mean log D(G(z))``, which has the same fixed point but does
@@ -350,7 +366,7 @@ def generator_objective(
     """
     grads = np.empty_like(g_params.flat)
     value = _generator_objective(g_params, d_params, latent_batch, loss_kind, grads)
-    return value, nn.FlatGrads(g_params, grads)
+    return value, grads
 
 
 def _generator_objective(g_params, d_params, latent_batch, loss_kind, grads) -> float:

@@ -263,6 +263,10 @@ class TestTrainCommand:
             ({"g_adam": {"beta2": 1.0}}, "g_adam.beta2"),
             ({"g_adam": {"lr": float("nan")}}, "g_adam.lr"),
             ({"d_adam": {"lr": -1e-3}}, "d_adam.lr"),
+            ({"batch_size": 64.5}, "batch_size"),
+            ({"g_hidden": [7.9]}, "g_hidden"),
+            ({"eval_every": True}, "eval_every"),
+            ({"seed": 2.5}, "seed"),
         ],
     )
     def test_bad_network_or_eval_field_is_a_usage_error(self, tmp_path, capsys, overrides, field):
@@ -418,6 +422,28 @@ class TestDivergenceCommand:
         assert cli.main(["divergence", str(a), str(b)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_file_is_a_usage_error(self, tmp_path, capsys, bad):
+        a = self._write_samples(tmp_path / "a.txt", np.zeros((5, 2)))
+        b = tmp_path / "b.txt"
+        b.write_text(f"1 2\n{bad} 3\n0 0\n")
+        for files in ((a, b), (b, a)):
+            assert cli.main(["divergence", *map(str, files)]) == 2
+            captured = capsys.readouterr()
+            assert "b.txt" in captured.err and "non-finite" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--smoothing", "nan"], ["--smoothing", "inf"], ["--bounds=0,nan"], ["--bounds=-inf,1"]],
+        ids=["smoothing-nan", "smoothing-inf", "bounds-nan", "bounds-inf"],
+    )
+    def test_non_finite_estimator_setting_is_a_usage_error(self, tmp_path, capsys, flags):
+        a = self._write_samples(tmp_path / "a.txt", np.random.default_rng(4).normal(size=(20, 1)))
+        assert cli.main(["divergence", str(a), str(a), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
+
     def test_malformed_bounds_are_a_usage_error(self, tmp_path, capsys):
         a = self._write_samples(tmp_path / "a.txt", np.zeros((5, 1)))
         assert cli.main(["divergence", str(a), str(a), "--bounds", "low-high"]) == 2
@@ -492,3 +518,23 @@ class TestGradcheckCommand:
     def test_single_size_is_a_usage_error(self, capsys):
         assert cli.main(["gradcheck", "--sizes", "4"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--step", "0"], "--step"),
+            (["--step", "-1"], "--step"),
+            (["--step", "nan"], "--step"),
+            (["--step", "inf"], "--step"),
+            (["--sizes", "2,-3,1"], "--sizes"),
+            (["--sizes", "2,0,1"], "--sizes"),
+            (["--sizes", "0,1"], "--sizes"),
+            (["--tol", "nan"], "--tol"),
+            (["--tol", "inf"], "--tol"),
+            (["--tol=-1e-6"], "--tol"),
+        ],
+    )
+    def test_bad_argument_is_a_usage_error(self, capsys, flags, named):
+        assert cli.main(["gradcheck", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named}") and captured.out == ""

@@ -202,6 +202,28 @@ class TestHistogramEstimator:
         with pytest.raises(ValueError):
             dv.HistogramEstimator(np.array([[0.0, 1.0]]), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bounds_and_smoothing_rejected(self, bad):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            dv.HistogramEstimator([[0.0, 1.0], [0.0, bad]], 8)
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            dv.HistogramEstimator([[bad, 1.0]], 8)
+        with pytest.raises(ValueError, match="smoothing"):
+            dv.HistogramEstimator([[0.0, 1.0]], 8, smoothing=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        """Refused, not binned: NaN rows would drop out of the histogram
+        while ``n_q`` still counted them, and infinities would be clipped."""
+        est = dv.HistogramEstimator(np.array([[-3.0, 3.0], [-3.0, 3.0]]), 8)
+        p = np.random.default_rng(3).normal(size=(50, 2))
+        q = p.copy()
+        q[::2, 1] = bad  # 25 of 50 rows
+        with pytest.raises(ValueError, match="non-finite"):
+            est.bin_law(q)
+        with pytest.raises(ValueError, match="non-finite"):
+            dv.estimate_divergences(p, q, est)
+
     def test_mismatched_sample_dimensions_rejected(self):
         est = dv.HistogramEstimator(np.array([[-1.0, 1.0]]), 4)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ two matrix products, written out explicitly in the test body.
 """
 
 import json
+import re
 import struct
 import warnings
 
@@ -66,8 +67,19 @@ def _per_layer_adam(arrays, grads, m, v, t, state, sign):
     return [list(col) for col in zip(*out)]
 
 
-def _arrays(layers_or_grads):
-    return [a for l in layers_or_grads for a in (l.weights, l.biases)]
+def _arrays(layers):
+    return [a for l in layers for a in (l.weights, l.biases)]
+
+
+def _split(params, vec):
+    """``vec``, laid out like ``params.flat``, cut into views shaped
+    [W0, b0, W1, b1, ...] by the layer shapes."""
+    out, start = [], 0
+    for a in _arrays(params.layers):
+        out.append(vec[start:start + a.size].reshape(a.shape))
+        start += a.size
+    assert start == vec.size
+    return out
 
 
 def _scalar_param(value):
@@ -246,9 +258,8 @@ class TestBackward:
         x = rng.normal(size=(4, 3))
         _, cache = nn.mlp_forward(params, x)
         grads, input_grad = nn.mlp_backward(params, cache, np.zeros((4, 2)))
-        for g in grads:
-            np.testing.assert_array_equal(g.weights, np.zeros_like(g.weights))
-            np.testing.assert_array_equal(g.biases, np.zeros_like(g.biases))
+        for g in _split(params, grads):
+            np.testing.assert_array_equal(g, np.zeros_like(g))
         np.testing.assert_array_equal(input_grad, np.zeros((4, 3)))
 
     def test_identity_network_sum_loss_input_grad_is_ones(self):
@@ -318,7 +329,7 @@ class TestBackward:
         _, cache = nn.mlp_forward(params, np.array([[0.0]]))
         grads, input_grad = nn.mlp_backward(params, cache, np.ones((1, 1)))
         np.testing.assert_array_equal(input_grad, [[0.0]])
-        np.testing.assert_array_equal(grads[0].weights, [[0.0]])
+        np.testing.assert_array_equal(_split(params, grads)[0], [[0.0]])
 
     def test_grad_accumulation_helpers(self):
         rng = np.random.default_rng(12)
@@ -330,9 +341,8 @@ class TestBackward:
         acc = nn.zero_grads(params)
         nn.add_grads(acc, grads)
         nn.add_grads(acc, grads)
-        for a, g in zip(acc, grads):
-            np.testing.assert_allclose(a.weights, 2.0 * g.weights, atol=1e-15)
-            np.testing.assert_allclose(a.biases, 2.0 * g.biases, atol=1e-15)
+        for a, g in zip(_split(params, acc), _split(params, grads)):
+            np.testing.assert_allclose(a, 2.0 * g, atol=1e-15)
 
 
     @pytest.mark.parametrize(
@@ -365,7 +375,7 @@ class TestBackward:
             dpre = da * derivative[layer.activation](cache.pres[i], cache.posts[i])
             want = [cache.inputs[i].T @ dpre, dpre.sum(axis=0)] + want
             da = dpre @ layer.weights.T
-        assert [a.tobytes() for a in _arrays(grads)] == [a.tobytes() for a in want]
+        assert [a.tobytes() for a in _split(params, grads)] == [a.tobytes() for a in want]
         assert input_grad.tobytes() == da.tobytes()
 
     def test_kernel_input_only_and_params_only_passes_match_the_full_pass(self):
@@ -381,14 +391,14 @@ class TestBackward:
             assert nn._backward(params, cache, out_grad, None).tobytes() == input_grad.tobytes()
             buf = np.full_like(params.flat, np.nan)
             assert nn._backward(params, cache, out_grad, buf, input_grad=False) is None
-            assert buf.tobytes() == grads.flat.tobytes()
+            assert buf.tobytes() == grads.tobytes()
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = _scalar_param(1.5)
         state = nn.init_adam(params, lr=0.1)
-        grads = [nn.LayerGrads(np.zeros((1, 1)), np.zeros(1))]
+        grads = np.array([0.0, 0.0])  # [w, b]
         new_params, _ = nn.adam_step(params, grads, state, direction="descend")
         assert new_params.layers[0].weights[0, 0] == 1.5
 
@@ -398,7 +408,7 @@ class TestAdam:
         lr, eps = 1e-3, 1e-8
         params = _scalar_param(0.0)
         state = nn.init_adam(params, lr=lr, epsilon=eps)
-        grads = [nn.LayerGrads(np.ones((1, 1)), np.zeros(1))]
+        grads = np.array([1.0, 0.0])  # [w, b]
         new_params, new_state = nn.adam_step(params, grads, state, direction="descend")
         delta = new_params.layers[0].weights[0, 0]
         assert delta == pytest.approx(-lr / (1.0 + eps), rel=1e-12)
@@ -410,7 +420,7 @@ class TestAdam:
         state = nn.init_adam(params, lr=0.05)
         for _ in range(200):
             w = params.layers[0].weights[0, 0]
-            grads = [nn.LayerGrads(np.array([[2.0 * w]]), np.zeros(1))]
+            grads = np.array([2.0 * w, 0.0])  # [w, b]
             params, state = nn.adam_step(params, grads, state, direction="descend")
         assert abs(params.layers[0].weights[0, 0]) < 0.1
 
@@ -424,14 +434,10 @@ class TestAdam:
 
         grad_rng = np.random.default_rng(22)
         for _ in range(10):
-            grads = [
-                nn.LayerGrads(
-                    grad_rng.normal(size=layer.weights.shape),
-                    grad_rng.normal(size=layer.biases.shape),
-                )
-                for layer in params_a.layers
-            ]
-            neg = [nn.LayerGrads(-g.weights, -g.biases) for g in grads]
+            grads = np.concatenate(
+                [grad_rng.normal(size=a.shape).ravel() for a in _arrays(params_a.layers)]
+            )
+            neg = -grads
             params_a, state_a = nn.adam_step(params_a, grads, state_a, direction="ascend")
             params_b, state_b = nn.adam_step(params_b, neg, state_b, direction="descend")
 
@@ -442,54 +448,60 @@ class TestAdam:
     def test_step_does_not_mutate_inputs(self):
         params = _scalar_param(2.0)
         state = nn.init_adam(params, lr=0.1)
-        grads = [nn.LayerGrads(np.ones((1, 1)), np.ones(1))]
+        grads = np.array([1.0, 1.0])  # [w, b]
         nn.adam_step(params, grads, state, direction="descend")
         assert params.layers[0].weights[0, 0] == 2.0
         assert state.step_count == 0
-        np.testing.assert_array_equal(state.first_moment[0].weights, np.zeros((1, 1)))
+        np.testing.assert_array_equal(_split(params, state.first_moment)[0], np.zeros((1, 1)))
 
     def test_non_finite_gradient_rejected_with_layer_index(self):
         rng = np.random.default_rng(30)
         params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], rng)
         state = nn.init_adam(params)
-        grads = nn.zero_grads(params)
-        grads[1].weights[0, 0] = np.nan
+        grads = np.zeros_like(params.flat)
+        _split(params, grads)[2][0, 0] = np.nan  # layer 1's weights
         with pytest.raises(nn.NonFiniteError) as err:
             nn.adam_step(params, grads, state, direction="descend")
         assert err.value.layer == 1
 
-    def test_bias_shape_mismatch_reports_the_bias_shapes(self):
-        params = nn.MlpParams([nn.Layer(np.zeros((2, 3)), np.zeros(3), "identity")])
-        grads = [nn.LayerGrads(np.zeros((2, 3)), np.zeros(5))]
-        with pytest.raises(nn.ShapeMismatchError) as err:
-            nn.adam_step(params, grads, nn.init_adam(params))
-        assert (err.value.layer, err.value.expected, err.value.actual) == (0, (3,), (5,))
-        assert str(err.value) == "layer 0: expected shape (3,), got (5,)"
-
-    def test_weights_shape_mismatch_reports_the_weights_shapes(self):
+    @pytest.mark.parametrize("shape", [(12,), (14,), (13, 1), (1, 13)], ids=["12", "14", "13x1", "1x13"])
+    @pytest.mark.parametrize("call", ["adam_step", "grad_check"])
+    def test_gradient_of_another_shape_names_both_shapes(self, call, shape):
+        """A gradient must be laid out like ``params.flat`` (13 values here)."""
         params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(0))
-        grads = nn.zero_grads(params)
-        grads[1] = nn.LayerGrads(np.zeros((1, 3)), np.zeros(1))
-        with pytest.raises(nn.ShapeMismatchError) as err:
-            nn.adam_step(params, grads, nn.init_adam(params))
-        assert (err.value.layer, err.value.expected, err.value.actual) == (1, (3, 1), (1, 3))
+        grads = np.zeros(shape)
+        match = re.escape(f"gradient shape {shape} does not match parameters (13,)")
+        with pytest.raises(ValueError, match=match):
+            if call == "adam_step":
+                nn.adam_step(params, grads, nn.init_adam(params))
+            else:
+                nn.grad_check(params, lambda p: (0.0, grads))
+
+    def test_state_needs_both_moments(self):
+        with pytest.raises(TypeError):
+            nn.AdamState(lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(0))
+        state = nn.init_adam(params)
+        for moment in (state.first_moment, state.second_moment):
+            assert type(moment) is np.ndarray and moment.shape == params.flat.shape
+        assert not np.shares_memory(state.first_moment, state.second_moment)
 
     def test_non_finite_update_rejected_with_layer_index(self):
         """Finite gradients whose update overflows are refused, naming the layer."""
         rng = np.random.default_rng(31)
         params = nn.init_mlp([2, 3, 2, 1], ["tanh", "tanh", "identity"], rng)
         state = nn.init_adam(params, lr=10.0, beta1=0.0)
-        grads = nn.zero_grads(params)
-        grads[2].biases[0] = 1e308
+        grads = np.zeros_like(params.flat)
+        _split(params, grads)[5][0] = 1e308  # layer 2's biases
         with np.errstate(all="ignore"), pytest.raises(nn.NonFiniteError) as err:
             nn.adam_step(params, grads, state, direction="descend")
         assert err.value.layer == 2
         assert "layer parameters" in str(err.value)
 
     def test_whole_vector_step_matches_per_layer_reference(self):
-        """Fifty random steps in both directions on a 3-layer net, with plain
-        and flat gradient lists: params and both moments equal the per-layer
-        reference bit for bit."""
+        """Fifty random steps in both directions on a 3-layer net, with
+        gradients drawn per layer and as one vector: params and both moments
+        equal the per-layer reference bit for bit."""
         rng = np.random.default_rng(50)
         params = nn.init_mlp([3, 7, 5, 2], ["tanh", "relu", "identity"], rng)
         state = nn.init_adam(params, lr=0.01, beta1=0.5, beta2=0.99, epsilon=1e-7)
@@ -499,22 +511,18 @@ class TestAdam:
         for t in range(1, 51):
             direction = ("ascend", "descend")[int(rng.integers(2))]
             if t % 2:
-                grads = [
-                    nn.LayerGrads(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
-                    for l in params.layers
-                ]
+                grads = np.concatenate([rng.normal(size=a.shape).ravel() for a in _arrays(params.layers)])
             else:
-                grads = nn.zero_grads(params)
-                grads.flat[:] = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=grads.flat.size)
+                grads = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=params.flat.size)
             ref, ref_m, ref_v = _per_layer_adam(
-                ref, _arrays(grads), ref_m, ref_v, t, state, 1.0 if direction == "ascend" else -1.0
+                ref, _split(params, grads), ref_m, ref_v, t, state, 1.0 if direction == "ascend" else -1.0
             )
             params, state = nn.adam_step(params, grads, state, direction=direction)
             assert state.step_count == t
             for got, want in (
                 (_arrays(params.layers), ref),
-                (_arrays(state.first_moment), ref_m),
-                (_arrays(state.second_moment), ref_v),
+                (_split(params, state.first_moment), ref_m),
+                (_split(params, state.second_moment), ref_v),
             ):
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -523,29 +531,25 @@ class TestAdam:
         params = nn.init_mlp([2, 5, 4, 1], ["tanh", "tanh", "sigmoid"], rng)
         state = nn.init_adam(params, lr=0.05)
         for _ in range(3):  # non-zero moments
-            grads = nn.zero_grads(params)
-            grads.flat[:] = rng.normal(size=grads.flat.size)
+            grads = rng.normal(size=params.flat.size)
             params, state = nn.adam_step(params, grads, state, direction="ascend")
-        grads = nn.zero_grads(params)
-        grads.flat[:] = rng.normal(size=grads.flat.size)
-        before = [
-            [a.copy() for a in _arrays(x)]
-            for x in (params.layers, state.first_moment, state.second_moment, grads)
-        ]
+        grads = rng.normal(size=params.flat.size)
+        before = [a.copy() for a in _arrays(params.layers)]
+        before += [v.copy() for v in (state.first_moment, state.second_moment, grads)]
         flat_before = params.flat.copy()
         new_params, new_state = nn.adam_step(params, grads, state, direction="descend")
-        after = [_arrays(x) for x in (params.layers, state.first_moment, state.second_moment, grads)]
-        for b, a in zip(before, after):
-            assert [x.tobytes() for x in b] == [x.tobytes() for x in a]
+        after = _arrays(params.layers) + [state.first_moment, state.second_moment, grads]
+        assert [x.tobytes() for x in before] == [x.tobytes() for x in after]
         assert params.flat.tobytes() == flat_before.tobytes()
         assert state.step_count == 3 and new_state.step_count == 4
         assert not np.shares_memory(new_params.flat, params.flat)
-        assert not np.shares_memory(new_state.first_moment.flat, state.first_moment.flat)
+        for moment in ("first_moment", "second_moment"):
+            assert not np.shares_memory(getattr(new_state, moment), getattr(state, moment))
 
     def test_invalid_direction_rejected(self):
         params = _scalar_param(0.0)
         state = nn.init_adam(params)
-        grads = nn.zero_grads(params)
+        grads = np.zeros_like(params.flat)
         with pytest.raises(ValueError):
             nn.adam_step(params, grads, state, direction="sideways")
 
@@ -574,7 +578,7 @@ class TestGradCheck:
 
         def bad_loss(p):
             value, grads = _squared_loss(x)(p)
-            grads[0].weights[0, 0] += 1.0
+            _split(p, grads)[0][0, 0] += 1.0
             return value, grads
 
         worst = nn.grad_check(params, bad_loss, h=1e-5)
@@ -656,9 +660,8 @@ class TestFlatLayout:
         x = rng.normal(size=(5, 3))
         _, cache = nn.mlp_forward(params, x)
         grads, _ = nn.mlp_backward(params, cache, np.ones((5, 2)))
-        assert grads.flat.shape == params.flat.shape
-        for a in _arrays(grads):
-            assert a.base is grads.flat
+        assert type(grads) is np.ndarray and grads.dtype == np.float64
+        assert grads.shape == params.flat.shape
 
     def test_in_place_edits_reach_forward_adam_and_checkpoint(self, tmp_path):
         rng = np.random.default_rng(61)
@@ -673,7 +676,7 @@ class TestFlatLayout:
         np.testing.assert_array_equal(nn.mlp_forward(params, x)[0], np.tanh(x @ w0 + b0) @ w1 + b1)
 
         # a zero gradient leaves Adam's output equal to its input
-        stepped, _ = nn.adam_step(params, nn.zero_grads(params), nn.init_adam(params))
+        stepped, _ = nn.adam_step(params, np.zeros_like(params.flat), nn.init_adam(params))
         assert [a.tobytes() for a in _arrays(stepped.layers)] == [
             a.tobytes() for a in (w0, b0, w1, b1)
         ]

@@ -99,7 +99,7 @@ class TestDiscriminatorObjective:
         assert mean_fake == 0.5
         # The readout weight gradient vanishes only if real and fake batches
         # coincide, so just require finiteness here.
-        assert all(np.all(np.isfinite(g.weights)) for g in grads)
+        assert np.all(np.isfinite(grads))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -130,14 +130,14 @@ class TestDiscriminatorObjective:
         for alpha, batch in zip(alphas, real):
             out, cache = nn.mlp_forward(d_params, batch)
             out_grad = (alpha / 10) * (1.0 / np.clip(out, tr.LOG_EPS, 1.0))
-            passes.append(nn.mlp_backward(d_params, cache, out_grad)[0].flat)
+            passes.append(nn.mlp_backward(d_params, cache, out_grad)[0])
         out, cache = nn.mlp_forward(d_params, fake)
         out_grad = -(1.0 / 10) * (1.0 / np.clip(1.0 - out, tr.LOG_EPS, 1.0))
-        passes.append(nn.mlp_backward(d_params, cache, out_grad)[0].flat)
+        passes.append(nn.mlp_backward(d_params, cache, out_grad)[0])
         want = passes[0].copy()
         for extra in passes[1:]:
             want += extra
-        assert grads.flat.tobytes() == want.tobytes()
+        assert grads.tobytes() == want.tobytes()
 
 
 class TestGeneratorObjective:
@@ -162,8 +162,7 @@ class TestGeneratorObjective:
         z = rng.normal(size=(8, 2))
         value, grads = tr.generator_objective(g_params, d_params, z, "minimax")
         assert value == pytest.approx(-float(np.log(2.0)), abs=1e-12)
-        for g in grads:
-            np.testing.assert_array_equal(g.weights, np.zeros_like(g.weights))
+        np.testing.assert_array_equal(grads, np.zeros_like(g_params.flat))
 
     def test_unknown_loss_kind_rejected(self):
         rng = np.random.default_rng(8)
@@ -621,6 +620,40 @@ class TestNetworkAndEvalFieldsRejected:
         with pytest.raises(ValueError, match=rf"^{network}\.{field} "):
             tr.TrainConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("batch_size", 64.5),
+            ("k", 1.5),
+            ("total_samples_n", 100.25),
+            ("epochs", float("nan")),
+            ("eval_every", True),
+            ("eval_samples", False),
+            ("samples_out", float("inf")),
+            ("seed", "3"),
+            ("g_hidden", [7.9]),
+            ("d_hidden", [8, True]),
+        ],
+    )
+    def test_whole_number_fields_are_not_truncated(self, field, value):
+        raw = _tiny_config().to_dict()
+        raw[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be a whole number"):
+            tr.TrainConfig.from_dict(raw)
+
+    def test_whole_floats_read_as_ints(self):
+        raw = _tiny_config().to_dict()
+        raw.update(batch_size=32.0, g_hidden=[4.0, 5])
+        config = tr.TrainConfig.from_dict(raw)
+        assert type(config.batch_size) is int and config.batch_size == 32
+        assert config.g_hidden == [4, 5] and all(type(w) is int for w in config.g_hidden)
+
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        config = _tiny_config()
+        raw = {"datasets": config.to_dict()["datasets"], "latent": config.to_dict()["latent"]}
+        want = tr.TrainConfig(config.datasets, config.latent).to_dict()
+        assert tr.TrainConfig.from_dict(raw).to_dict() == want
+
     def test_adam_edge_values_are_accepted(self):
         tr.AdamConfig(lr=0.0, beta1=0.0, beta2=0.0, epsilon=0.0)
 
@@ -647,9 +680,7 @@ def _snapshot(*objs):
             out += [a.tobytes() for l in obj.layers for a in (l.weights, l.biases)]
         else:
             out.append(obj.step_count)
-            for moment in (obj.first_moment, obj.second_moment):
-                out.append(moment.flat.tobytes())
-                out += [a.tobytes() for g in moment for a in (g.weights, g.biases)]
+            out += [moment.tobytes() for moment in (obj.first_moment, obj.second_moment)]
     return out
 
 
@@ -676,7 +707,7 @@ class TestStepContract:
         assert new_state.step_count == state.step_count + 1
         assert not np.shares_memory(new_params.flat, own.flat)
         for moment in ("first_moment", "second_moment"):
-            assert not np.shares_memory(getattr(new_state, moment).flat, getattr(state, moment).flat)
+            assert not np.shares_memory(getattr(new_state, moment), getattr(state, moment))
         assert new_params.flat.tobytes() != own.flat.tobytes()
 
     def test_train_calls_each_step_through_the_module(self, monkeypatch):
@@ -838,6 +869,6 @@ class TestGeneratorObjectiveBackward:
         score_grad = -(1.0 / 9) * (1.0 / clipped)
         _, fake_grad = nn.mlp_backward(d_params, d_cache, score_grad)
         want, _ = nn.mlp_backward(g_params, g_cache, fake_grad)
-        assert grads.flat.tobytes() == want.flat.tobytes()
+        assert grads.tobytes() == want.tobytes()
         sign = 1.0 if kind == "minimax" else -1.0
         assert value == sign * float(np.mean(np.log(clipped)))
