@@ -183,6 +183,8 @@ def cmd_sample(args) -> int:
             raise UsageError(f"{args.spec}: {exc}") from exc
     if args.n < 1:
         raise UsageError("-n must be >= 1")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     rows = sample_dataset(spec, args.n, rng)
     lines = "\n".join(" ".join(repr(float(v)) for v in row) for row in rows) + "\n"
@@ -206,6 +208,8 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(f"--step must be finite and > 0, got {args.step!r}")
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     params = nn.init_mlp(sizes, [args.activation] * (len(sizes) - 2) + ["identity"], rng)
     x = rng.standard_normal((4, sizes[0]))

@@ -11,6 +11,7 @@ nothing here touches global randomness.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -453,6 +454,23 @@ def sample_latent(prior: LatentPrior, n: int, rng: np.random.Generator) -> np.nd
 #
 # Every spec maps to a JSON-friendly dict tagged with "kind", so config and
 # instance files stay human-writable.
+
+
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int. A JSON number with a fractional part, a boolean or a
+    string is refused rather than truncated or coerced."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def _real_number(name: str, value) -> float:
+    """``value`` as a float. A boolean or a string is refused rather than coerced."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def slab_to_dict(slab: SlabSpec) -> dict:

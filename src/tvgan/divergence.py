@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDist, align
+from .distributions import DiscreteDist, _real_number, _whole_number, align
 
 LN2 = float(np.log(2.0))
 
@@ -75,7 +75,7 @@ class HistogramEstimator:
         if not np.isfinite(self.bounds).all():
             raise ValueError(f"bounds must be finite, got {self.bounds.tolist()}")
         if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
-            raise ValueError("each dimension needs low < high")
+            raise ValueError("bounds need low < high in each dimension")
         if self.bins_per_dim < 2:
             raise ValueError("bins_per_dim must be >= 2")
         if not (np.isfinite(self.smoothing) and self.smoothing >= 0):
@@ -124,8 +124,8 @@ class HistogramEstimator:
     def from_dict(d: dict) -> "HistogramEstimator":
         return HistogramEstimator(
             np.asarray(d["bounds"]),
-            int(d["bins_per_dim"]),
-            float(d.get("smoothing", 1e-9)),
+            _whole_number("bins_per_dim", d["bins_per_dim"]),
+            _real_number("smoothing", d.get("smoothing", 1e-9)),
         )
 
 

@@ -12,6 +12,11 @@ Backward and Adam each have one in-place kernel (``_backward``,
 per-layer containers. ``mlp_backward`` and ``adam_step`` allocate or copy
 once and run it; ``training`` runs the kernels on one working copy per step
 (``_working_copy``).
+
+``mlp_apply`` is the forward without a backward cache. It runs a batch of
+more than ``APPLY_BLOCK_ROWS`` rows in row blocks, so its hidden activations
+stay a few MB whatever the batch size; each block's output is
+``mlp_forward``'s on that block bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 # Sigmoid outputs and log arguments are kept at least this far from {0, 1} so
 # the adversarial losses stay finite even when the discriminator saturates.
 LOG_EPS = 1e-12
+
+# ``mlp_apply`` runs larger batches in row blocks of at most this many rows,
+# so an eval's hidden activations stay a few MB whatever ``eval_samples`` is.
+APPLY_BLOCK_ROWS = 4096
 
 
 class ShapeMismatchError(ValueError):
@@ -256,20 +265,42 @@ def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, ForwardCache]:
 
 
 def mlp_apply(params: MlpParams, x) -> np.ndarray:
-    """``mlp_forward(params, x)[0]``, bit for bit, with no backward cache.
+    """The network's output on a batch, with no backward cache.
 
-    Each layer's activation runs in place on that layer's fresh product
-    (sigmoid builds its own), so a large batch costs about its arithmetic.
+    Up to ``APPLY_BLOCK_ROWS`` rows this is ``mlp_forward(params, x)[0]`` bit
+    for bit. A larger batch runs in ceil(n / APPLY_BLOCK_ROWS) blocks of
+    near-equal size, each ``mlp_forward`` of that block bit for bit, written
+    into one output array; since BLAS may round a product differently at
+    another row count, that can differ from the whole-batch forward in the
+    last bits. Each layer's activation runs in place on that layer's fresh
+    product (sigmoid builds its own), so hidden activations take at most two
+    blocks of a layer's width whatever the batch size. Errors are those of
+    ``mlp_forward`` on the whole batch.
     """
     h = as_batch(x)
+    n, width = h.shape
     for i, layer in enumerate(params.layers):
-        if h.shape[1] != layer.fan_in:
-            raise ShapeMismatchError(i, (h.shape[0], layer.fan_in), h.shape)
+        if width != layer.fan_in:
+            raise ShapeMismatchError(i, (n, layer.fan_in), (n, width))
+        width = layer.fan_out
+    if n <= APPLY_BLOCK_ROWS:
+        out = _apply_block(params, h)
+    else:
+        out = np.empty((n, width))
+        blocks = -(-n // APPLY_BLOCK_ROWS)
+        for src, dst in zip(np.array_split(h, blocks), np.array_split(out, blocks)):
+            dst[...] = _apply_block(params, src)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("forward output", layer=len(params.layers) - 1)
+    return out
+
+
+def _apply_block(params: MlpParams, h: np.ndarray) -> np.ndarray:
+    """``mlp_apply``'s layer loop on rows already checked against every layer."""
+    for layer in params.layers:
         h = h @ layer.weights
         h += layer.biases
         h = _activate(layer.activation, h, out=h)
-    if not np.isfinite(h).all():
-        raise NonFiniteError("forward output", layer=len(params.layers) - 1)
     return h
 
 

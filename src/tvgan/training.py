@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import threading
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -29,6 +28,8 @@ from .distributions import (
     SpikeSlabNoise,
     _categorical_cdf,
     _draw_categorical,
+    _real_number,
+    _whole_number,
     dataset_dimension,
     dataset_spec_from_dict,
     dataset_spec_to_dict,
@@ -82,7 +83,9 @@ class AdamConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "AdamConfig":
-        return AdamConfig(**{f.name: float(d.get(f.name, f.default)) for f in fields(AdamConfig)})
+        return AdamConfig(
+            **{f.name: _real_number(f.name, d.get(f.name, f.default)) for f in fields(AdamConfig)}
+        )
 
 
 @dataclass
@@ -163,6 +166,8 @@ class TrainConfig:
             raise ValueError(f"eval_samples must be >= 1 with an estimator, got {self.eval_samples}")
         if self.samples_out < 0:
             raise ValueError(f"samples_out must be >= 0, got {self.samples_out}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def data_dim(self) -> int:
@@ -232,9 +237,9 @@ class TrainConfig:
             f = next(f for f in fields(TrainConfig) if f.name == name)
             return f.default_factory() if f.default is MISSING else f.default
 
-        def adam(name):
+        def nested(name, from_dict):
             try:
-                return AdamConfig.from_dict(d.get(name, {}))
+                return from_dict(d.get(name, {}))
             except ValueError as exc:  # its message starts with the field's name
                 raise ValueError(f"{name}.{exc}") from None
 
@@ -246,9 +251,9 @@ class TrainConfig:
             hidden_activation=str(get("hidden_activation")),
             injection_mode=str(get("injection_mode")),
             generator_loss=str(get("generator_loss")),
-            g_adam=adam("g_adam"),
-            d_adam=adam("d_adam"),
-            estimator=None if est is None else HistogramEstimator.from_dict(est),
+            g_adam=nested("g_adam", AdamConfig.from_dict),
+            d_adam=nested("d_adam", AdamConfig.from_dict),
+            estimator=None if est is None else nested("estimator", HistogramEstimator.from_dict),
             **{name: _whole_number(name, get(name)) for name in _WHOLE_NUMBER_FIELDS},
         )
 
@@ -256,16 +261,6 @@ class TrainConfig:
 _WHOLE_NUMBER_FIELDS = (
     "k", "batch_size", "total_samples_n", "epochs", "eval_every", "eval_samples", "samples_out", "seed"
 )
-
-
-def _whole_number(name: str, value) -> int:
-    """``value`` as an int. A JSON number with a fractional part, a boolean or a
-    string is refused rather than truncated or coerced."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass

@@ -7,12 +7,15 @@ or failed checks, 2 for usage problems and malformed inputs.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tvgan import cli
 from tvgan.training import TrainConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -243,6 +246,20 @@ class TestTrainCommand:
         assert code == 2
         assert "bad.json" in capsys.readouterr().err
 
+    def test_negative_seed_override_is_a_usage_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_demo_config_echo_is_unchanged_by_parsing(self):
+        """Reading the shipped config and writing it back gives its own numbers,
+        with the same types, so the manifest's echo of it stays the same bytes."""
+        raw = json.loads((ROOT / "demos" / "configs" / "train.json").read_text())
+        echo = TrainConfig.from_dict(raw).to_dict()
+        assert json.dumps(echo, indent=2) == json.dumps(raw, indent=2)
+
 
     @pytest.mark.parametrize(
         "overrides,field",
@@ -267,6 +284,17 @@ class TestTrainCommand:
             ({"g_hidden": [7.9]}, "g_hidden"),
             ({"eval_every": True}, "eval_every"),
             ({"seed": 2.5}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"d_adam": {"lr": True}}, "d_adam.lr"),
+            ({"g_adam": {"beta1": "0.5"}}, "g_adam.beta1"),
+            ({"estimator": {"bounds": [[-3.0, 3.0], [-3.0, 3.0]], "bins_per_dim": 8.7}},
+             "estimator.bins_per_dim"),
+            ({"estimator": {"bounds": [[-3.0, 3.0], [-3.0, 3.0]], "bins_per_dim": "8"}},
+             "estimator.bins_per_dim"),
+            ({"estimator": {"bounds": [[-3.0, 3.0], [-3.0, 3.0]], "bins_per_dim": 8, "smoothing": True}},
+             "estimator.smoothing"),
+            ({"estimator": {"bounds": [[-3.0, 3.0], [-3.0, 3.0]], "bins_per_dim": 8, "smoothing": "0"}},
+             "estimator.smoothing"),
         ],
     )
     def test_bad_network_or_eval_field_is_a_usage_error(self, tmp_path, capsys, overrides, field):
@@ -495,6 +523,11 @@ class TestSampleCommand:
         assert cli.main(["sample", "ring", "-n", "0"]) == 2
         capsys.readouterr()
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert cli.main(["sample", "ring", "--seed", "-1", "-n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --seed") and captured.out == ""
+
 
 class TestGradcheckCommand:
     def test_default_network_passes(self, capsys):
@@ -532,6 +565,7 @@ class TestGradcheckCommand:
             (["--tol", "nan"], "--tol"),
             (["--tol", "inf"], "--tol"),
             (["--tol=-1e-6"], "--tol"),
+            (["--seed", "-1"], "--seed"),
         ],
     )
     def test_bad_argument_is_a_usage_error(self, capsys, flags, named):

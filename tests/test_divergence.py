@@ -211,6 +211,28 @@ class TestHistogramEstimator:
         with pytest.raises(ValueError, match="smoothing"):
             dv.HistogramEstimator([[0.0, 1.0]], 8, smoothing=bad)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("bins_per_dim", 8.7),
+            ("bins_per_dim", True),
+            ("bins_per_dim", "8"),
+            ("smoothing", True),
+            ("smoothing", "1e-9"),
+        ],
+    )
+    def test_from_dict_refuses_coercion(self, field, value):
+        """A fractional bin count, a boolean or a string is refused, not read
+        as the nearest number."""
+        d = {"bounds": [[0.0, 1.0]], "bins_per_dim": 8, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be a"):
+            dv.HistogramEstimator.from_dict(d)
+
+    def test_from_dict_reads_whole_floats_and_ints(self):
+        est = dv.HistogramEstimator.from_dict({"bounds": [[0.0, 1.0]], "bins_per_dim": 8.0, "smoothing": 0})
+        assert type(est.bins_per_dim) is int and est.bins_per_dim == 8
+        assert type(est.smoothing) is float and est.smoothing == 0.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, bad):
         """Refused, not binned: NaN rows would drop out of the histogram

@@ -10,6 +10,7 @@ two matrix products, written out explicitly in the test body.
 import json
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,6 +226,63 @@ class TestApply:
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
                 assert x.tobytes() == before
+
+    # Past APPLY_BLOCK_ROWS rows the batch runs in blocks: 2 * 4096 + 1 rows
+    # make three blocks of 2731, so no block is a one-row remainder.
+    BLOCKED_ROWS = 2 * nn.APPLY_BLOCK_ROWS + 1
+    BLOCKED_SIZES = [4, 64, 64, 2]
+    # Against the whole-batch forward only the summation order of a product
+    # may differ: a relative error of at most fan_in * eps per layer, summed
+    # over the layers, taken relative to the largest output.
+    BLOCKED_TOL = (len(BLOCKED_SIZES) - 1) * max(BLOCKED_SIZES) * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_blocked_output_is_the_per_block_forward(self, activation):
+        rng = np.random.default_rng(5)
+        for last in (activation, "identity"):
+            params = nn.init_mlp(self.BLOCKED_SIZES, [activation, activation, last], rng)
+            params.flat += rng.normal(scale=0.3, size=params.flat.size)  # non-zero biases
+            x = rng.normal(scale=2.0, size=(self.BLOCKED_ROWS, self.BLOCKED_SIZES[0]))
+            before = x.tobytes()
+            got = nn.mlp_apply(params, x)
+            assert x.tobytes() == before
+            blocks = [nn.mlp_forward(params, block)[0] for block in np.array_split(x, 3)]
+            assert [len(b) for b in blocks] == [2731] * 3
+            want = np.vstack(blocks)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            whole = nn.mlp_forward(params, x)[0]
+            scale = np.abs(whole).max()
+            np.testing.assert_allclose(got, whole, rtol=0, atol=self.BLOCKED_TOL * scale)
+
+    def test_blocked_errors_are_the_whole_batch_errors(self):
+        rng = np.random.default_rng(6)
+        params = nn.init_mlp(self.BLOCKED_SIZES, ["tanh", "tanh", "identity"], rng)
+        rows = self.BLOCKED_ROWS
+        err = self._same_error(nn.ShapeMismatchError, params, np.ones((rows, 5)))
+        assert err.layer == 0 and err.expected == (rows, 4) and err.actual == (rows, 5)
+        x = rng.normal(size=(rows, 4))
+        x[rows - 1, 2] = np.nan  # in the last block
+        self._same_error(nn.NonFiniteError, params, x)
+        params.layers[-1].weights[:] = 1e308
+        params.layers[-1].biases[:] = 1e308
+        with np.errstate(all="ignore"):
+            err = self._same_error(nn.NonFiniteError, params, np.full((rows, 4), 5.0))
+        assert err.layer == len(params.layers) - 1
+
+    def test_blocked_forward_memory_does_not_grow_with_the_batch(self):
+        """A 20 000-row forward through width 64 holds two blocks of hidden
+        activations, not two 20 000 x 64 arrays (20.5 MB)."""
+        params = nn.init_mlp([4, 64, 64, 2], ["tanh", "tanh", "identity"], np.random.default_rng(7))
+        x = np.random.default_rng(8).normal(size=(20000, 4))
+        nn.mlp_apply(params, x)  # first-call allocations are not the forward's
+        tracemalloc.start()
+        try:
+            nn.mlp_apply(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
     def test_bad_width_raises_like_forward(self, sizes):

@@ -657,6 +657,30 @@ class TestNetworkAndEvalFieldsRejected:
     def test_adam_edge_values_are_accepted(self):
         tr.AdamConfig(lr=0.0, beta1=0.0, beta2=0.0, epsilon=0.0)
 
+    @pytest.mark.parametrize("field,value", [("lr", True), ("beta2", False), ("epsilon", "1e-8")])
+    def test_adam_numbers_are_not_coerced(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a number"):
+            tr.AdamConfig.from_dict({field: value})
+        raw = _tiny_config().to_dict()
+        raw["d_adam"] = {**raw["d_adam"], field: value}
+        with pytest.raises(ValueError, match=rf"^d_adam\.{field} must be a number"):
+            tr.TrainConfig.from_dict(raw)
+
+    def test_estimator_errors_are_named_with_their_prefix(self):
+        raw = _tiny_config().to_dict()
+        raw["estimator"] = {"bounds": [[-1.0, 1.0], [-1.0, 1.0]], "bins_per_dim": 8.7}
+        with pytest.raises(ValueError, match=r"^estimator\.bins_per_dim must be a whole number"):
+            tr.TrainConfig.from_dict(raw)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0"):
+            _tiny_config(seed=-1)
+        raw = _tiny_config().to_dict()
+        raw["seed"] = -1
+        with pytest.raises(ValueError, match=r"^seed must be >= 0"):
+            tr.TrainConfig.from_dict(raw)
+        assert _tiny_config(seed=0).seed == 0
+
     def test_negative_samples_out_is_named(self):
         with pytest.raises(ValueError, match="samples_out"):
             _tiny_config(samples_out=-5)
