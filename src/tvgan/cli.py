@@ -54,9 +54,12 @@ def _load_json(path: str) -> dict:
     if not p.is_file():
         raise UsageError(f"file not found: {p}")
     try:
-        return json.loads(p.read_text())
+        data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{p}: must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _load_samples(path: str) -> np.ndarray:
@@ -80,7 +83,7 @@ def cmd_train(args) -> int:
         if args.seed is not None:
             raw = {**raw, "seed": args.seed}
         config = TrainConfig.from_dict(raw)
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{args.config}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -114,7 +117,7 @@ def cmd_oracle(args) -> int:
     raw = _load_json(args.instance)
     try:
         inst = GameInstance.from_dict(raw)
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{args.instance}: {exc}") from exc
     try:
         checks = instance_checks(inst, args.check, args.delta)
@@ -173,14 +176,13 @@ _PRESETS = {
 
 
 def cmd_sample(args) -> int:
-    if args.spec in _PRESETS:
-        spec = _PRESETS[args.spec](args)
-    else:
-        raw = _load_json(args.spec)
-        try:
-            spec = dataset_spec_from_dict(raw)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise UsageError(f"{args.spec}: {exc}") from exc
+    try:
+        if args.spec in _PRESETS:
+            spec = _PRESETS[args.spec](args)
+        else:
+            spec = dataset_spec_from_dict(_load_json(args.spec))
+    except ValueError as exc:
+        raise UsageError(f"{args.spec}: {exc}") from exc
     if args.n < 1:
         raise UsageError("-n must be >= 1")
     if args.seed < 0:

@@ -11,10 +11,15 @@ nothing here touches global randomness.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Union
+import reprlib
+import sys
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache, cached_property
+from itertools import chain
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -116,13 +121,6 @@ class DiscreteDist:
     def prob_table(self) -> dict[tuple, float]:
         return dict(zip(map(tuple, self.support.tolist()), self.probs.tolist()))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "discrete",
-            "support": self.support.tolist(),
-            "probs": self.probs.tolist(),
-        }
-
 
 def _law(rows: np.ndarray, weights: np.ndarray) -> DiscreteDist:
     """Weighted rows as a law, merged, zero masses dropped; unvalidated: its atoms are distinct."""
@@ -162,7 +160,7 @@ class GaussianSlab:
     def __post_init__(self):
         self.std = np.atleast_1d(np.asarray(self.std, dtype=np.float64))
         if np.any(self.std <= 0):
-            raise ValueError("gaussian slab std must be positive")
+            raise ValueError(f"std must be positive, got {self.std.tolist()}")
 
 
 @dataclass
@@ -350,7 +348,7 @@ class GaussianMixture:
             raise ValueError("mixture needs at least one component")
         weights = np.array([c.weight for c in self.components])
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > PROB_TOL:
-            raise ValueError("component weights must be positive and sum to 1")
+            raise ValueError("the weights of components must be positive and sum to 1")
         dims = {c.mean.shape[0] for c in self.components}
         if len(dims) != 1:
             raise ValueError("all components must share one dimension")
@@ -367,8 +365,10 @@ class Ring:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0 or self.noise_std < 0:
-            raise ValueError("need radius > 0 and noise_std >= 0")
+        if not 0.0 < self.radius < math.inf:  # also refuses nan
+            raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
 
 
 @dataclass
@@ -380,7 +380,7 @@ class FileDataset:
     """
 
     path: str
-    _samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _samples: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def load(self) -> np.ndarray:
         if self._samples is None:
@@ -450,10 +450,24 @@ def sample_latent(prior: LatentPrior, n: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-1.0, 1.0, size=(n, prior.dimension))
 
 
-# --- (de)serialization ------------------------------------------------------
+# --- JSON -------------------------------------------------------------------
 #
-# Every spec maps to a JSON-friendly dict tagged with "kind", so config and
-# instance files stay human-writable.
+# A config type's JSON format is its dataclass declaration: an object with one
+# key per init field, in field order, each value read by the field's type hint
+# and never coerced. The members of ``SlabSpec`` and ``DatasetSpec`` carry their
+# ``KINDS`` tag under ``"kind"``, first. Every refusal is a ``ValueError`` that
+# names the value by its JSON path (``datasets[1].noise.gamma``); numbers inside
+# a list are named by the list.
+
+KINDS = {
+    GaussianSlab: "gaussian",
+    DirichletSlab: "dirichlet_flat",
+    PointMassSlab: "point_mass",
+    DiscreteDist: "discrete",
+    GaussianMixture: "gaussian_mixture",
+    Ring: "ring",
+    FileDataset: "file",
+}
 
 
 def _whole_number(name: str, value) -> int:
@@ -467,94 +481,132 @@ def _whole_number(name: str, value) -> int:
 
 
 def _real_number(name: str, value) -> float:
-    """``value`` as a float. A boolean or a string is refused rather than coerced."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{name} must be a number, got {value!r}")
+    """``value`` as a finite float. A boolean, a string, NaN or an infinity is refused."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also refuses nan, and ints past float range
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
-def slab_to_dict(slab: SlabSpec) -> dict:
-    if isinstance(slab, GaussianSlab):
-        return {"kind": "gaussian", "std": slab.std.tolist()}
-    if isinstance(slab, DirichletSlab):
-        return {"kind": "dirichlet_flat", "dimension": slab.dimension}
-    if isinstance(slab, PointMassSlab):
-        return {"kind": "point_mass", "offset": slab.offset.tolist()}
-    if isinstance(slab, DiscreteDist):
-        return slab.to_dict()
-    raise TypeError(f"not a slab spec: {type(slab).__name__}")
+def _array(name: str, value) -> np.ndarray:
+    """Nested lists of finite numbers as an array: not ragged, no booleans, no strings."""
+    try:
+        a = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged
+        a = None
+    if a is not None and a.dtype.kind in "iuf" and np.isfinite(a).all():
+        flat = value
+        for _ in range(a.ndim - 1):
+            flat = chain.from_iterable(flat)
+        if bool not in set(map(type, flat)):  # a true among numbers reads as 1
+            return a
+    raise ValueError(
+        f"{name} must be a rectangular list of finite numbers, got {reprlib.repr(value)}"
+    )
 
 
-def slab_from_dict(d: dict) -> SlabSpec:
-    kind = d.get("kind")
-    if kind == "gaussian":
-        return GaussianSlab(np.asarray(d["std"]))
-    if kind == "dirichlet_flat":
-        return DirichletSlab(int(d["dimension"]))
-    if kind == "point_mass":
-        return PointMassSlab(np.asarray(d["offset"]))
-    if kind == "discrete":
-        return discrete_dist_from_dict(d)
-    raise ValueError(f"unknown slab kind {kind!r}")
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
-def noise_to_dict(noise: SpikeSlabNoise) -> dict:
-    return {"gamma": noise.gamma, "slab": slab_to_dict(noise.slab)}
+@cache
+def _fields(cls) -> dict[str, tuple[object, bool]]:
+    """``cls``'s JSON keys, in field order: each init field's type hint and whether
+    it is required."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+        if f.init
+    }
 
 
-def noise_from_dict(d: dict) -> SpikeSlabNoise:
-    return SpikeSlabNoise(float(d["gamma"]), slab_from_dict(d["slab"]))
+def _object(path: str, value) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise ValueError(f"{path or 'the document'} must be a JSON object, got {reprlib.repr(value)}")
+
+
+def to_json(value):
+    """``value`` as plain JSON data: a config dataclass as an object of its fields
+    (``"kind"`` first for a tagged one), an array or a tuple as a list."""
+    if is_dataclass(value):
+        out = {"kind": KINDS[type(value)]} if type(value) in KINDS else {}
+        for name in _fields(type(value)):
+            out[name] = to_json(getattr(value, name))
+        return out
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    return value
+
+
+def from_json(kind, value, path: str = ""):
+    """The JSON data ``value`` read as ``kind``: a config dataclass, a tagged union
+    such as ``DatasetSpec``, ``X | None``, ``list[X]``, ``int``, ``float``, ``str``
+    or ``np.ndarray``. ``path`` names ``value`` in error messages.
+
+    An object must have a key for each required field and no key that is not a
+    field; a field it leaves out takes the dataclass default. A ``ValueError``
+    from the dataclass's own checks is prefixed with ``path``.
+    """
+    if kind is int:
+        return _whole_number(path, value)
+    if kind is float:
+        return _real_number(path, value)
+    if kind is np.ndarray:
+        return _array(path, value)
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise ValueError(f"{path} must be a string, got {value!r}")
+    origin = get_origin(kind)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {reprlib.repr(value)}")
+        (item,) = get_args(kind)
+        scalar = item in (int, float, str)  # named by the list
+        return [from_json(item, v, path if scalar else f"{path}[{i}]") for i, v in enumerate(value)]
+    if origin in (Union, types.UnionType):
+        members = [m for m in get_args(kind) if m is not type(None)]
+        if value is None and len(members) < len(get_args(kind)):
+            return None
+        if len(members) == 1:
+            return from_json(members[0], value, path)
+        tags = {KINDS[m]: m for m in members}
+        tag = _object(path, value).get("kind")
+        if tag not in tags:
+            known = ", ".join(map(repr, tags))
+            raise ValueError(f"{_join(path, 'kind')} must be one of {known}, got {tag!r}")
+        kind = tags[tag]
+    declared = _fields(kind)
+    tag = KINDS.get(kind)
+    for key in _object(path, value):
+        if key not in declared and not (tag and key == "kind"):
+            raise ValueError(f"{_join(path, key)} is not a known key")
+    if tag and value.get("kind") != tag:
+        raise ValueError(f"{_join(path, 'kind')} must be {tag!r}, got {value.get('kind')!r}")
+    args = {}
+    for name, (hint, required) in declared.items():
+        if name in value:
+            args[name] = from_json(hint, value[name], _join(path, name))
+        elif required:
+            raise ValueError(f"{_join(path, name)} is required")
+    try:
+        return kind(**args)
+    except ValueError as exc:
+        if not path:
+            raise
+        message = str(exc)  # "radius must be ..." reads as "<path>.radius must be ..."
+        sep = "." if message.split(" ", 1)[0] in declared else ": "
+        raise ValueError(f"{path}{sep}{message}") from exc
 
 
 def discrete_dist_from_dict(d: dict) -> DiscreteDist:
-    return DiscreteDist(np.asarray(d["support"]), np.asarray(d["probs"]))
-
-
-def dataset_spec_to_dict(spec: DatasetSpec) -> dict:
-    if isinstance(spec, GaussianMixture):
-        return {
-            "kind": "gaussian_mixture",
-            "components": [
-                {
-                    "mean": c.mean.tolist(),
-                    "cov_diag": c.cov_diag.tolist(),
-                    "weight": c.weight,
-                }
-                for c in spec.components
-            ],
-        }
-    if isinstance(spec, Ring):
-        return {"kind": "ring", "radius": spec.radius, "noise_std": spec.noise_std}
-    if isinstance(spec, DiscreteDist):
-        return spec.to_dict()
-    if isinstance(spec, FileDataset):
-        return {"kind": "file", "path": spec.path}
-    raise TypeError(f"not a dataset spec: {type(spec).__name__}")
+    return from_json(DiscreteDist, d)
 
 
 def dataset_spec_from_dict(d: dict) -> DatasetSpec:
-    kind = d.get("kind")
-    if kind == "gaussian_mixture":
-        return GaussianMixture(
-            [
-                MixtureComponent(
-                    np.asarray(c["mean"]), np.asarray(c["cov_diag"]), float(c["weight"])
-                )
-                for c in d["components"]
-            ]
-        )
-    if kind == "ring":
-        return Ring(float(d["radius"]), float(d.get("noise_std", 0.0)))
-    if kind == "discrete":
-        return discrete_dist_from_dict(d)
-    if kind == "file":
-        return FileDataset(str(d["path"]))
-    raise ValueError(f"unknown dataset kind {kind!r}")
-
-
-def latent_to_dict(prior: LatentPrior) -> dict:
-    return {"dimension": prior.dimension, "kind": prior.kind}
-
-
-def latent_from_dict(d: dict) -> LatentPrior:
-    return LatentPrior(int(d["dimension"]), str(d.get("kind", "gaussian")))
+    return from_json(DatasetSpec, d)

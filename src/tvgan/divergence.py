@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDist, _real_number, _whole_number, align
+from .distributions import DiscreteDist, align
 
 LN2 = float(np.log(2.0))
 
@@ -112,21 +112,6 @@ class HistogramEstimator:
         counts, _ = np.histogramdd(clipped, bins=self.edges())
         law = counts.reshape(-1) + self.smoothing
         return law / law.sum(), int(outside.sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "bounds": self.bounds.tolist(),
-            "bins_per_dim": self.bins_per_dim,
-            "smoothing": self.smoothing,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "HistogramEstimator":
-        return HistogramEstimator(
-            np.asarray(d["bounds"]),
-            _whole_number("bins_per_dim", d["bins_per_dim"]),
-            _real_number("smoothing", d.get("smoothing", 1e-9)),
-        )
 
 
 @dataclass

@@ -23,10 +23,9 @@ from .distributions import (
     SpikeSlabNoise,
     align,
     discrete_convolve,
-    discrete_dist_from_dict,
+    from_json,
     mixture,
-    noise_from_dict,
-    noise_to_dict,
+    to_json,
 )
 from .divergence import jsd_discrete, tv_discrete
 
@@ -71,7 +70,7 @@ class GameInstance:
             raise ValueError("one noise channel per data part is required")
         alphas = np.array([a for _, a in self.data_parts], dtype=np.float64)
         if np.any(alphas <= 0) or abs(alphas.sum() - 1.0) > 1e-12:
-            raise ValueError("alphas must be positive and sum to 1")
+            raise ValueError("the alphas of data_parts must be positive and sum to 1")
         dims = {dist.dimension for dist, _ in self.data_parts} | {self.p_g.dimension}
         if len(dims) != 1:
             raise ValueError("all distributions must share one dimension")
@@ -110,25 +109,28 @@ class GameInstance:
         return jsd_discrete(self.noised_mixture(), self.p_g)
 
     def to_dict(self) -> dict:
-        return {
-            "data_parts": [
-                {"dist": dist.to_dict(), "alpha": alpha}
-                for dist, alpha in self.data_parts
-            ],
-            "noise": [noise_to_dict(n) for n in self.noise_per_part],
-            "p_g": self.p_g.to_dict(),
-        }
+        parts = [_PartFile(dist, alpha) for dist, alpha in self.data_parts]
+        return to_json(_InstanceFile(parts, self.noise_per_part, self.p_g))
 
     @staticmethod
     def from_dict(d: dict) -> "GameInstance":
-        return GameInstance(
-            data_parts=[
-                (discrete_dist_from_dict(part["dist"]), float(part["alpha"]))
-                for part in d["data_parts"]
-            ],
-            noise_per_part=[noise_from_dict(n) for n in d["noise"]],
-            p_g=discrete_dist_from_dict(d["p_g"]),
-        )
+        f = from_json(_InstanceFile, d)
+        return GameInstance([(p.dist, p.alpha) for p in f.data_parts], f.noise, f.p_g)
+
+
+@dataclass
+class _PartFile:
+    dist: DiscreteDist
+    alpha: float
+
+
+@dataclass
+class _InstanceFile:
+    """A ``GameInstance`` as its JSON file lays it out."""
+
+    data_parts: list[_PartFile]
+    noise: list[SpikeSlabNoise]
+    p_g: DiscreteDist
 
 
 def _xlog_share(x: np.ndarray, total: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import threading
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +28,12 @@ from .distributions import (
     SpikeSlabNoise,
     _categorical_cdf,
     _draw_categorical,
-    _real_number,
-    _whole_number,
     dataset_dimension,
-    dataset_spec_from_dict,
-    dataset_spec_to_dict,
+    from_json,
     inject_noise,
-    latent_from_dict,
-    latent_to_dict,
-    noise_from_dict,
-    noise_to_dict,
     sample_dataset,
     sample_latent,
+    to_json,
 )
 from .divergence import HistogramEstimator, estimate_divergences
 
@@ -77,15 +71,6 @@ class AdamConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "AdamConfig":
-        return AdamConfig(
-            **{f.name: _real_number(f.name, d.get(f.name, f.default)) for f in fields(AdamConfig)}
-        )
 
 
 @dataclass
@@ -125,7 +110,7 @@ class TrainConfig:
             raise ValueError("config needs at least one dataset")
         alphas = np.array([p.alpha for p in self.datasets])
         if np.any(alphas <= 0) or abs(alphas.sum() - 1.0) > 1e-12:
-            raise ValueError("dataset alphas must be positive and sum to 1")
+            raise ValueError("the alphas of datasets must be positive and sum to 1")
         dims = {dataset_dimension(p.spec) for p in self.datasets}
         if len(dims) != 1:
             raise ValueError("all datasets must share one sample dimension")
@@ -133,7 +118,7 @@ class TrainConfig:
         for i, part in enumerate(self.datasets):
             if part.noise.dimension != dim:
                 raise ValueError(
-                    f"dataset {i}: noise dimension {part.noise.dimension} does not "
+                    f"datasets[{i}].noise: dimension {part.noise.dimension} does not "
                     f"match sample dimension {dim}"
                 )
         for name in ("g_hidden", "d_hidden"):
@@ -187,80 +172,11 @@ class TrainConfig:
         return max(p.noise.gamma for p in self.datasets)
 
     def to_dict(self) -> dict:
-        return {
-            "datasets": [
-                {
-                    "spec": dataset_spec_to_dict(p.spec),
-                    "alpha": p.alpha,
-                    "noise": noise_to_dict(p.noise),
-                }
-                for p in self.datasets
-            ],
-            "latent": latent_to_dict(self.latent),
-            "g_hidden": list(self.g_hidden),
-            "d_hidden": list(self.d_hidden),
-            "hidden_activation": self.hidden_activation,
-            "k": self.k,
-            "batch_size": self.batch_size,
-            "total_samples_n": self.total_samples_n,
-            "epochs": self.epochs,
-            "injection_mode": self.injection_mode,
-            "generator_loss": self.generator_loss,
-            "g_adam": self.g_adam.to_dict(),
-            "d_adam": self.d_adam.to_dict(),
-            "eval_every": self.eval_every,
-            "eval_samples": self.eval_samples,
-            "estimator": None if self.estimator is None else self.estimator.to_dict(),
-            "samples_out": self.samples_out,
-            "seed": self.seed,
-        }
+        return to_json(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        try:
-            datasets = [
-                DatasetPart(
-                    spec=dataset_spec_from_dict(p["spec"]),
-                    alpha=float(p["alpha"]),
-                    noise=noise_from_dict(p["noise"]),
-                )
-                for p in d["datasets"]
-            ]
-            latent = latent_from_dict(d["latent"])
-        except KeyError as exc:
-            raise ValueError(f"config missing required field: {exc}") from exc
-        est = d.get("estimator")
-
-        def get(name):
-            if name in d:
-                return d[name]
-            f = next(f for f in fields(TrainConfig) if f.name == name)
-            return f.default_factory() if f.default is MISSING else f.default
-
-        def nested(name, from_dict):
-            try:
-                return from_dict(d.get(name, {}))
-            except ValueError as exc:  # its message starts with the field's name
-                raise ValueError(f"{name}.{exc}") from None
-
-        return TrainConfig(
-            datasets=datasets,
-            latent=latent,
-            g_hidden=[_whole_number("g_hidden", w) for w in get("g_hidden")],
-            d_hidden=[_whole_number("d_hidden", w) for w in get("d_hidden")],
-            hidden_activation=str(get("hidden_activation")),
-            injection_mode=str(get("injection_mode")),
-            generator_loss=str(get("generator_loss")),
-            g_adam=nested("g_adam", AdamConfig.from_dict),
-            d_adam=nested("d_adam", AdamConfig.from_dict),
-            estimator=None if est is None else nested("estimator", HistogramEstimator.from_dict),
-            **{name: _whole_number(name, get(name)) for name in _WHOLE_NUMBER_FIELDS},
-        )
-
-
-_WHOLE_NUMBER_FIELDS = (
-    "k", "batch_size", "total_samples_n", "epochs", "eval_every", "eval_samples", "samples_out", "seed"
-)
+        return from_json(TrainConfig, d)
 
 
 @dataclass
@@ -518,8 +434,8 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
     """
     rng = np.random.default_rng(config.seed)
     g_params, d_params = build_models(config, rng)
-    g_state = nn.init_adam(g_params, **config.g_adam.to_dict())
-    d_state = nn.init_adam(d_params, **config.d_adam.to_dict())
+    g_state = nn.init_adam(g_params, **asdict(config.g_adam))
+    d_state = nn.init_adam(d_params, **asdict(config.d_adam))
     metrics: list[MetricsRecord] = []
     pending: _Eval | None = None
     step = 0

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from tvgan import cli
+from tvgan.distributions import dataset_spec_from_dict, to_json
+from tvgan.oracle import GameInstance
 from tvgan.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -253,12 +255,42 @@ class TestTrainCommand:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_demo_config_echo_is_unchanged_by_parsing(self):
-        """Reading the shipped config and writing it back gives its own numbers,
+    @pytest.mark.parametrize(
+        "name,read,write",
+        [
+            ("train.json", TrainConfig.from_dict, TrainConfig.to_dict),
+            ("oracle_instance.json", GameInstance.from_dict, GameInstance.to_dict),
+            ("sample_spec.json", dataset_spec_from_dict, to_json),
+        ],
+        ids=["train.json", "oracle_instance.json", "sample_spec.json"],
+    )
+    def test_demo_config_echo_is_unchanged_by_parsing(self, name, read, write):
+        """Reading a shipped file and writing it back gives its own numbers,
         with the same types, so the manifest's echo of it stays the same bytes."""
-        raw = json.loads((ROOT / "demos" / "configs" / "train.json").read_text())
-        echo = TrainConfig.from_dict(raw).to_dict()
+        raw = json.loads((ROOT / "demos" / "configs" / name).read_text())
+        echo = write(read(raw))
         assert json.dumps(echo, indent=2) == json.dumps(raw, indent=2)
+
+    @pytest.mark.parametrize(
+        "edit,path",
+        [
+            (lambda c: c.update(eval_evry=5), "eval_evry"),
+            (lambda c: c.update(g_adam=None), "g_adam"),
+            (lambda c: c.update(latent={"dimension": 2.7}), "latent.dimension"),
+            (lambda c: c["datasets"][0]["noise"].update(gamma=True), "datasets[0].noise.gamma"),
+            (lambda c: c["datasets"][0].update(alpha="1"), "datasets[0].alpha"),
+        ],
+        ids=["unknown-key", "null-object", "fractional-count", "boolean-number", "string-number"],
+    )
+    def test_bad_leaf_is_a_usage_error_named_by_its_path(self, tmp_path, capsys, edit, path):
+        raw = json.loads(_write_config(tmp_path).read_text())
+        edit(raw)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config.json: {path} " in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize(
@@ -349,6 +381,25 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert "instance.json" in err
         assert "alphas" in err
+
+    @pytest.mark.parametrize(
+        "edit,path",
+        [
+            (lambda i: i["noise"][0].update(gamma="0.5"), "noise[0].gamma"),
+            (lambda i: i["data_parts"][0]["dist"].update(probs=[0.5, float("nan")]), "data_parts[0].dist.probs"),
+            (lambda i: i["p_g"].update(weights=[1.0]), "p_g.weights"),
+        ],
+        ids=["string-number", "nan-in-array", "unknown-key"],
+    )
+    def test_bad_leaf_is_a_usage_error_named_by_its_path(self, tmp_path, capsys, edit, path):
+        inst = _write_instance(tmp_path)
+        raw = json.loads(inst.read_text())
+        edit(raw)
+        inst.write_text(json.dumps(raw))
+        report = tmp_path / "report.csv"
+        assert cli.main(["oracle", "--instance", str(inst), "--out", str(report)]) == 2
+        assert f"instance.json: {path} " in capsys.readouterr().err
+        assert not report.exists()
 
     def test_delta_below_gamma_is_a_usage_error(self, tmp_path, capsys):
         inst = _write_instance(tmp_path, gamma=0.5, support=((0.0,), (10.0,)))
@@ -518,6 +569,38 @@ class TestSampleCommand:
         spec.write_text(json.dumps({"kind": "banana"}))
         assert cli.main(["sample", str(spec)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "spec,path",
+        [
+            ({"kind": "ring", "radius": "2"}, "radius"),
+            ({"kind": "ring", "radius": float("nan")}, "radius"),
+            ({"kind": "gaussian_mixture", "components": [
+                {"mean": [float("inf")], "cov_diag": [1.0], "weight": 1.0}]}, "components[0].mean"),
+            ({"kind": "discrete", "support": [[0.0], [1.0, 2.0]], "probs": [0.5, 0.5]}, "support"),
+        ],
+        ids=["string-radius", "nan-radius", "infinite-mean", "ragged-support"],
+    )
+    def test_bad_leaf_in_a_spec_file_is_a_usage_error(self, tmp_path, capsys, spec, path):
+        spec_path, out = tmp_path / "spec.json", tmp_path / "rows.txt"
+        spec_path.write_text(json.dumps(spec))
+        assert cli.main(["sample", str(spec_path), "--out", str(out)]) == 2
+        assert f"spec.json: {path} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_radius_is_a_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "rows.txt"
+        assert cli.main(["sample", "ring", "--radius", value, "--out", str(out)]) == 2
+        assert "radius must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_std_is_a_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "rows.txt"
+        assert cli.main(["sample", "ring", "--noise-std", value, "--out", str(out)]) == 2
+        assert "noise_std must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_count_is_a_usage_error(self, capsys):
         assert cli.main(["sample", "ring", "-n", "0"]) == 2

@@ -489,13 +489,13 @@ class TestSerialization:
         ],
     )
     def test_slab_roundtrip(self, slab):
-        again = dist.slab_from_dict(dist.slab_to_dict(slab))
+        again = dist.from_json(dist.SlabSpec, dist.to_json(slab))
         assert type(again) is type(slab)
-        assert dist.slab_to_dict(again) == dist.slab_to_dict(slab)
+        assert dist.to_json(again) == dist.to_json(slab)
 
     def test_noise_roundtrip(self):
         noise = dist.SpikeSlabNoise(0.3, dist.PointMassSlab(np.array([1.0])))
-        again = dist.noise_from_dict(dist.noise_to_dict(noise))
+        again = dist.from_json(dist.SpikeSlabNoise, dist.to_json(noise))
         assert again.gamma == 0.3
         np.testing.assert_array_equal(again.slab.offset, [1.0])
 
@@ -511,11 +511,11 @@ class TestSerialization:
         ],
     )
     def test_dataset_spec_roundtrip(self, spec):
-        again = dist.dataset_spec_from_dict(dist.dataset_spec_to_dict(spec))
-        assert dist.dataset_spec_to_dict(again) == dist.dataset_spec_to_dict(spec)
+        again = dist.dataset_spec_from_dict(dist.to_json(spec))
+        assert dist.to_json(again) == dist.to_json(spec)
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError):
-            dist.slab_from_dict({"kind": "banana"})
+            dist.from_json(dist.SlabSpec, {"kind": "banana"})
         with pytest.raises(ValueError):
             dist.dataset_spec_from_dict({"kind": "banana"})

@@ -11,6 +11,7 @@ from scipy import integrate, stats
 
 from tvgan import distributions as dist
 from tvgan import divergence as dv
+from tvgan.distributions import from_json
 
 # 2*Phi(1/2) - 1 for unit Gaussians one apart; re-derived by quadrature below.
 GAUSSIAN_SHIFT_TV = 0.38292492254802624
@@ -226,10 +227,10 @@ class TestHistogramEstimator:
         as the nearest number."""
         d = {"bounds": [[0.0, 1.0]], "bins_per_dim": 8, field: value}
         with pytest.raises(ValueError, match=rf"^{field} must be a"):
-            dv.HistogramEstimator.from_dict(d)
+            from_json(dv.HistogramEstimator, d)
 
     def test_from_dict_reads_whole_floats_and_ints(self):
-        est = dv.HistogramEstimator.from_dict({"bounds": [[0.0, 1.0]], "bins_per_dim": 8.0, "smoothing": 0})
+        est = from_json(dv.HistogramEstimator, {"bounds": [[0.0, 1.0]], "bins_per_dim": 8.0, "smoothing": 0})
         assert type(est.bins_per_dim) is int and est.bins_per_dim == 8
         assert type(est.smoothing) is float and est.smoothing == 0.0
 

@@ -8,6 +8,7 @@ gating, determinism, artifact layout) is pinned with tiny seeded runs.
 
 import csv
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from tvgan import distributions as dist
 from tvgan import nn
 from tvgan import training as tr
+from tvgan.distributions import from_json
 from tvgan.divergence import HistogramEstimator, estimate_divergences
 
 
@@ -210,7 +212,7 @@ class TestSteps:
         )
         rng = np.random.default_rng(config.seed)
         g_params, d_params = tr.build_models(config, rng)
-        d_state = nn.init_adam(d_params, **config.d_adam.to_dict())
+        d_state = nn.init_adam(d_params, **asdict(config.d_adam))
 
         eval_rng = np.random.default_rng(999)
         eval_real = [tr.sample_clean_mixture(config, 2000, eval_rng)]
@@ -237,7 +239,7 @@ class TestSteps:
         frozen_d = nn.MlpParams(
             layers=[nn.Layer(np.array([[3.0], [0.0]]), np.zeros(1), "sigmoid")]
         )
-        g_state = nn.init_adam(g_params, **config.g_adam.to_dict())
+        g_state = nn.init_adam(g_params, **asdict(config.g_adam))
 
         eval_z = np.random.default_rng(500).standard_normal((2000, 2))
 
@@ -660,7 +662,7 @@ class TestNetworkAndEvalFieldsRejected:
     @pytest.mark.parametrize("field,value", [("lr", True), ("beta2", False), ("epsilon", "1e-8")])
     def test_adam_numbers_are_not_coerced(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be a number"):
-            tr.AdamConfig.from_dict({field: value})
+            from_json(tr.AdamConfig, {field: value})
         raw = _tiny_config().to_dict()
         raw["d_adam"] = {**raw["d_adam"], field: value}
         with pytest.raises(ValueError, match=rf"^d_adam\.{field} must be a number"):
@@ -790,8 +792,8 @@ class TestStepContract:
 
         rng = np.random.default_rng(config.seed)
         g_params, d_params = tr.build_models(config, rng)
-        g_state = nn.init_adam(g_params, **config.g_adam.to_dict())
-        d_state = nn.init_adam(d_params, **config.d_adam.to_dict())
+        g_state = nn.init_adam(g_params, **asdict(config.g_adam))
+        d_state = nn.init_adam(d_params, **asdict(config.d_adam))
         expected = []
         for step in range(1, config.epochs * config.steps_per_epoch + 1):
             for _ in range(config.k):
