@@ -295,13 +295,10 @@ def inject_noise(
     raise ValueError(f"mode must be 'per_sample' or 'per_batch', got {mode!r}")
 
 
-def discrete_convolve(p_x: DiscreteDist, noise: SpikeSlabNoise) -> DiscreteDist:
-    """Exact law of ``Y = X + Z`` for a finite-support slab.
-
-    The output support is the Minkowski sum of the input support and the
-    channel atoms ({0} with mass 1 - gamma plus the slab atoms scaled by
-    gamma); sums within ``MERGE_RTOL * max(1, |v|)`` of each other in every
-    coordinate are merged, at any magnitude (see ``canonicalize``).
+def channel_rows(p_x: DiscreteDist, noise: SpikeSlabNoise) -> tuple[np.ndarray, np.ndarray]:
+    """``X + Z`` before merging: ``(rows [m * k, d], masses [m * k])``, one row per
+    support point and channel atom of positive mass ({0} with mass 1 - gamma,
+    then the slab atoms scaled by gamma), point-major. Needs a finite-support slab.
     """
     points, q = slab_atoms(noise.slab)
     d = p_x.dimension
@@ -311,7 +308,18 @@ def discrete_convolve(p_x: DiscreteDist, noise: SpikeSlabNoise) -> DiscreteDist:
     pz = np.concatenate([[1.0 - noise.gamma], noise.gamma * q])
     z, pz = z[pz > 0], pz[pz > 0]
     rows = (p_x.support[:, None, :] + z[None, :, :]).reshape(-1, d)
-    return _law(rows, np.outer(p_x.probs, pz).reshape(-1))
+    return rows, np.outer(p_x.probs, pz).reshape(-1)
+
+
+def discrete_convolve(p_x: DiscreteDist, noise: SpikeSlabNoise) -> DiscreteDist:
+    """Exact law of ``Y = X + Z`` for a finite-support slab.
+
+    The output support is the Minkowski sum of the input support and the
+    channel atoms (``channel_rows``); sums within ``MERGE_RTOL * max(1, |v|)``
+    of each other in every coordinate are merged, at any magnitude (see
+    ``canonicalize``).
+    """
+    return _law(*channel_rows(p_x, noise))
 
 
 # --- dataset specs ----------------------------------------------------------

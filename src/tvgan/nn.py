@@ -28,6 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .distributions import from_json, to_json
+
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 
 # Sigmoid outputs and log arguments are kept at least this far from {0, 1} so
@@ -499,18 +501,40 @@ def grad_check(params: MlpParams, loss: LossFn, h: float = 1e-5) -> float:
 CHECKPOINT_FORMAT = "tvgan-mlp-v1"
 
 
+@dataclass
+class _LayerFile:
+    fan_in: int
+    fan_out: int
+    activation: str
+
+    def __post_init__(self):
+        for name in ("fan_in", "fan_out"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+
+@dataclass
+class _CheckpointFile:
+    """A checkpoint manifest as its JSON file lays it out."""
+
+    format: str
+    dtype: str
+    weights_file: str  # a file name in the manifest's directory
+    layers: list[_LayerFile]
+
+    def __post_init__(self):
+        if self.dtype != "<f8":
+            raise ValueError(f"dtype must be '<f8', got {self.dtype!r}")
+        name = self.weights_file
+        if name in ("", "..") or Path(name).name != name:
+            raise ValueError(f"weights_file must be a bare file name, got {name!r}")
+
+
 def save_checkpoint(params: MlpParams, manifest_path) -> Path:
     manifest_path = Path(manifest_path)
     blob_path = manifest_path.with_suffix(".bin")
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "dtype": "<f8",
-        "weights_file": blob_path.name,
-        "layers": [
-            {"fan_in": l.fan_in, "fan_out": l.fan_out, "activation": l.activation}
-            for l in params.layers
-        ],
-    }
+    layers = [_LayerFile(l.fan_in, l.fan_out, l.activation) for l in params.layers]
+    manifest = to_json(_CheckpointFile(CHECKPOINT_FORMAT, "<f8", blob_path.name, layers))
     blob_path.write_bytes(params.flat.astype("<f8", copy=False).tobytes())
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
@@ -519,13 +543,17 @@ def save_checkpoint(params: MlpParams, manifest_path) -> Path:
 def load_checkpoint(manifest_path) -> MlpParams:
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {manifest_path}")
-    blob = (manifest_path.parent / manifest["weights_file"]).read_bytes()
-    specs = manifest["layers"]
-    shapes = [(int(s["fan_in"]), int(s["fan_out"])) for s in specs]
+    try:
+        checkpoint = from_json(_CheckpointFile, manifest)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from exc
+    blob = (manifest_path.parent / checkpoint.weights_file).read_bytes()
+    specs = checkpoint.layers
+    shapes = [(s.fan_in, s.fan_out) for s in specs]
     size = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
     if size != len(blob):
         raise ValueError(f"checkpoint blob has {len(blob)} bytes, manifest accounts for {size}")
     views = _Layout(shapes).views(np.frombuffer(blob, dtype="<f8"))
-    return MlpParams([Layer(w, b, s["activation"]) for (w, b), s in zip(views, specs)])
+    return MlpParams([Layer(w, b, s.activation) for (w, b), s in zip(views, specs)])

@@ -14,20 +14,25 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .distributions import (
     DiscreteDist,
     SpikeSlabNoise,
+    UnsupportedSlabError,
     align,
+    canonicalize,
+    channel_rows,
     discrete_convolve,
     from_json,
     mixture,
+    slab_atoms,
     to_json,
 )
-from .divergence import jsd_discrete, tv_discrete
+from .divergence import _jsd_arrays, _tv_arrays
+from .divergence import jsd_discrete, tv_discrete  # noqa: F401 (oracle.jsd_discrete stays importable)
 
 LOG4 = float(np.log(4.0))
 
@@ -52,11 +57,39 @@ def _kept(method):
     return kept
 
 
+class Masses(NamedTuple):
+    """One law on a ``SharedSupport``: its mass per atom, and which atoms are on its own
+    support (a zero-probability atom of an input law is on it; so ``align`` keeps it)."""
+
+    mass: np.ndarray  # [K]
+    on: np.ndarray    # [K] bool
+
+
+def _on_union(p: Masses, q: Masses) -> tuple[np.ndarray, np.ndarray]:
+    """Both laws' masses on the union of their supports, in support order: what ``align``
+    returns when no third law's atoms merge two of theirs."""
+    keep = p.on | q.on
+    return p.mass[keep], q.mass[keep]
+
+
+@dataclass
+class SharedSupport:
+    """Every law an instance's checks compare, as masses on one canonical support."""
+
+    support: np.ndarray  # [K, d]
+    clean: list[Masses]
+    noised: list[Masses]
+    p_g: Masses
+    clean_mixture: Masses
+    noised_mixture: Masses
+
+
 @dataclass
 class GameInstance:
     """Weighted data parts, their noise channels, and a candidate generator law.
 
     Noised parts, mixtures and shared divergences are computed once: do not mutate an instance.
+    Every channel must have a finite-support slab of the data's dimension.
     """
 
     data_parts: list[tuple[DiscreteDist, float]]  # (distribution, alpha)
@@ -74,6 +107,16 @@ class GameInstance:
         dims = {dist.dimension for dist, _ in self.data_parts} | {self.p_g.dimension}
         if len(dims) != 1:
             raise ValueError("all distributions must share one dimension")
+        (dim,) = dims
+        for l, noise in enumerate(self.noise_per_part):
+            try:
+                slab_atoms(noise.slab)
+            except UnsupportedSlabError as exc:
+                raise UnsupportedSlabError(f"noise[{l}].slab: {exc}") from None
+            if noise.dimension != dim:
+                raise ValueError(
+                    f"noise[{l}]: slab dimension {noise.dimension} differs from the data dimension {dim}"
+                )
 
     @property
     def alphas(self) -> np.ndarray:
@@ -94,19 +137,56 @@ class GameInstance:
         return mixture(list(zip(self.noised_parts(), self.alphas)))
 
     @_kept
+    def shared_support(self) -> SharedSupport:
+        """The clean parts, noised parts, ``p_g`` and both mixtures on one support.
+
+        One ``canonicalize`` of every row the checks need: the clean supports,
+        each part's ``channel_rows`` and ``p_g``'s support. Each law's masses are
+        the ``bincount`` of its rows, and each mixture adds ``alpha * masses``
+        part by part, the sums ``discrete_convolve`` and ``mixture`` form. All
+        checks thus see the same atoms: a single-linkage chain through one law's
+        atom merges atoms for every pair of laws, not only the pair it sits in.
+        """
+        clean = [dist for dist, _ in self.data_parts]
+        channels = [channel_rows(dist, noise) for dist, noise in zip(clean, self.noise_per_part)]
+        blocks = [(d.support, d.probs) for d in clean] + channels + [(self.p_g.support, self.p_g.probs)]
+        support, inverse = canonicalize(np.vstack([rows for rows, _ in blocks]))
+        k = support.shape[0]
+        ends = np.cumsum([rows.shape[0] for rows, _ in blocks])
+        atoms = np.split(inverse, ends[:-1])
+        masses = [np.bincount(i, weights=w, minlength=k) for i, (_, w) in zip(atoms, blocks)]
+        parts = len(clean)
+        on_input = [np.bincount(i, minlength=k) > 0 for i in atoms[:parts] + atoms[-1:]]
+        clean_mix, noised_mix = np.zeros(k), np.zeros(k)
+        for alpha, c, n in zip(self.alphas, masses[:parts], masses[parts:-1]):
+            clean_mix += alpha * c
+            noised_mix += alpha * n
+        return SharedSupport(
+            support=support,
+            clean=[Masses(m, on) for m, on in zip(masses[:parts], on_input)],
+            noised=[Masses(m, m > 0) for m in masses[parts:-1]],
+            p_g=Masses(masses[-1], on_input[-1]),
+            clean_mixture=Masses(clean_mix, clean_mix > 0),
+            noised_mixture=Masses(noised_mix, noised_mix > 0),
+        )
+
+    @_kept
     def part_tvs(self) -> list[float]:
         """TV(clean part, noised part) per part: the mass each channel moved."""
-        return [tv_discrete(dist, nd) for (dist, _), nd in zip(self.data_parts, self.noised_parts())]
+        s = self.shared_support()
+        return [_tv_arrays(*_on_union(c, n)) for c, n in zip(s.clean, s.noised)]
 
     @_kept
     def mixture_jsd(self) -> float:
         """JSD(clean mixture, noised mixture)."""
-        return jsd_discrete(self.clean_mixture(), self.noised_mixture())
+        s = self.shared_support()
+        return _jsd_arrays(*_on_union(s.clean_mixture, s.noised_mixture))
 
     @_kept
     def generator_jsd(self) -> float:
         """JSD(noised mixture, generator)."""
-        return jsd_discrete(self.noised_mixture(), self.p_g)
+        s = self.shared_support()
+        return _jsd_arrays(*_on_union(s.noised_mixture, s.p_g))
 
     def to_dict(self) -> dict:
         parts = [_PartFile(dist, alpha) for dist, alpha in self.data_parts]
@@ -170,7 +250,8 @@ def optimal_value(inst: GameInstance) -> float:
     it always equals ``-log 4 + 2 * JSD(noised mixture, generator)`` up to
     roundoff, and -log 4 exactly when the two laws coincide.
     """
-    _, a, b = align(inst.noised_mixture(), inst.p_g)
+    s = inst.shared_support()
+    a, b = _on_union(s.noised_mixture, s.p_g)
     total = a + b
     return float(np.sum(_xlog_share(a, total)) + np.sum(_xlog_share(b, total)))
 
@@ -288,13 +369,13 @@ def mixture_chain_check(inst: GameInstance, delta: float) -> ChainReport:
     _check_delta(inst, delta)
     part_tvs = inst.part_tvs()
     checks = [_ineq(f"part{l}_tv_budget", tv, delta) for l, tv in enumerate(part_tvs)]
-    p_mix = inst.clean_mixture()
-    tv_mix = tv_discrete(p_mix, inst.noised_mixture())
+    s = inst.shared_support()
+    tv_mix = _tv_arrays(*_on_union(s.clean_mixture, s.noised_mixture))
     weighted = float(np.dot(inst.alphas, part_tvs))
     checks.append(_ineq("mixture_tv_concavity", tv_mix, weighted))
     checks.append(_ineq("weighted_tv_budget", weighted, delta))
     checks.append(_ineq("jsd_le_tv", inst.mixture_jsd(), tv_mix))
-    sqrt_total = np.sqrt(jsd_discrete(p_mix, inst.p_g))
+    sqrt_total = np.sqrt(_jsd_arrays(*_on_union(s.clean_mixture, s.p_g)))
     sqrt_parts = np.sqrt(inst.generator_jsd()) + np.sqrt(inst.mixture_jsd())
     checks.append(_ineq("sqrt_jsd_triangle", sqrt_total, sqrt_parts))
     return ChainReport(checks)

@@ -401,6 +401,27 @@ class TestOracleCommand:
         assert f"instance.json: {path} " in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "slab, message",
+        [
+            ({"kind": "gaussian", "std": [1.0]}, "noise[0].slab: GaussianSlab has continuous support"),
+            ({"kind": "dirichlet_flat", "dimension": 1}, "noise[0].slab: DirichletSlab has continuous support"),
+            ({"kind": "point_mass", "offset": [1.0, 0.0]}, "noise[0]: slab dimension 2 differs from the data dimension 1"),
+        ],
+        ids=["gaussian", "dirichlet", "dimension"],
+    )
+    def test_channel_without_an_exact_law_is_a_usage_error_named_by_its_path(
+        self, tmp_path, capsys, slab, message
+    ):
+        inst = _write_instance(tmp_path, gamma=0.5)
+        raw = json.loads(inst.read_text())
+        raw["noise"][0]["slab"] = slab
+        inst.write_text(json.dumps(raw))
+        report = tmp_path / "report.csv"
+        assert cli.main(["oracle", "--instance", str(inst), "--out", str(report)]) == 2
+        assert f"instance.json: {message}" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_delta_below_gamma_is_a_usage_error(self, tmp_path, capsys):
         inst = _write_instance(tmp_path, gamma=0.5, support=((0.0,), (10.0,)))
         code = cli.main(
@@ -436,16 +457,26 @@ class TestOracleCommand:
             assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == want
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_each_divergence_is_aligned_once(self, tmp_path, monkeypatch, capsys, parts):
-        """P part TVs, the mixture TV, and three JSDs: P + 4 TV/JSD alignments."""
-        from tvgan import divergence
+    def test_the_checks_canonicalize_once(self, tmp_path, monkeypatch, capsys, parts):
+        """All 2P + 5 rows read one canonical support: one ``canonicalize`` once the
+        instance is parsed (parsing validates each law's support on its own)."""
+        from tvgan import distributions, oracle
 
         inst = _write_parts_instance(tmp_path, parts)
-        align, calls = divergence.align, []
-        monkeypatch.setattr(divergence, "align", lambda p, q: calls.append(1) or align(p, q))
+        calls = []
+
+        def counted(canonicalize):
+            return lambda *args: calls.append(1) or canonicalize(*args)
+
+        def checks_counting_from_here(*args):
+            for module in (distributions, oracle):
+                monkeypatch.setattr(module, "canonicalize", counted(module.canonicalize))
+            return oracle.instance_checks(*args)
+
+        monkeypatch.setattr(cli, "instance_checks", checks_counting_from_here)
         assert cli.main(["oracle", "--instance", str(inst), "--check", "all"]) == 0
-        capsys.readouterr()
-        assert len(calls) == parts + 4
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * parts + 5
+        assert len(calls) == 1
 
 
 class TestDivergenceCommand:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvgan import distributions as dist
+from tvgan import oracle
 from tvgan.divergence import jsd_discrete, tv_discrete
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -88,3 +89,68 @@ def test_common_translation_changes_nothing(case, shift):
     np.testing.assert_allclose(out_moved.probs, out.probs, rtol=0, atol=1e-14)
     assert tv_discrete(moved, out_moved) == pytest.approx(tv_discrete(p, out), abs=1e-12)
     assert jsd_discrete(moved, out_moved) == pytest.approx(jsd_discrete(p, out), abs=1e-12)
+
+
+@st.composite
+def lattice_laws(draw, dim, scale):
+    """Like ``laws``, on a lattice of spacing ``scale``, and with zero-probability atoms."""
+    m = draw(st.integers(1, 6))
+    points = st.tuples(*[st.integers(-8, 8)] * dim)
+    cells = draw(st.lists(points, min_size=m, max_size=m, unique=True))
+    weights = np.array(draw(st.lists(st.integers(0, 20), min_size=m, max_size=m)), dtype=float)
+    weights[draw(st.integers(0, m - 1))] += 1.0
+    return dist.DiscreteDist(np.array(cells, dtype=float) * scale, weights / weights.sum())
+
+
+@st.composite
+def game_instances(draw):
+    dim = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([0.1, 0.3, 1.0, 1e6]))
+    parts = draw(st.integers(1, 3))
+    raw = np.array(draw(st.lists(st.integers(1, 9), min_size=parts, max_size=parts)), dtype=float)
+    noise = []
+    for _ in range(parts):
+        gamma = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        if draw(st.booleans()):
+            offset = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            slab = dist.PointMassSlab(np.array(offset) * scale)
+        else:
+            slab = draw(lattice_laws(dim, scale))
+        noise.append(dist.SpikeSlabNoise(gamma, slab))
+    data = [(draw(lattice_laws(dim, scale)), float(a)) for a in raw / raw.sum()]
+    return oracle.GameInstance(data, noise, draw(lattice_laws(dim, scale)))
+
+
+def _rows_from_the_primitives(inst):
+    """``instance_checks(inst, "all")`` recomputed pair by pair with ``discrete_convolve``,
+    ``mixture``, ``align``, ``tv_discrete`` and ``jsd_discrete``."""
+    clean = [p for p, _ in inst.data_parts]
+    alphas = [a for _, a in inst.data_parts]
+    noised = [dist.discrete_convolve(p, n) for p, n in zip(clean, inst.noise_per_part)]
+    c_mix, n_mix = dist.mixture(inst.data_parts), dist.mixture(list(zip(noised, inst.alphas)))
+    delta = max(n.gamma for n in inst.noise_per_part)
+    part_tvs = [tv_discrete(p, q) for p, q in zip(clean, noised)]
+    _, a, b = dist.align(n_mix, inst.p_g)
+    total = a + b
+    xlog = [x * np.log(np.divide(x, total, out=np.ones_like(total), where=x > 0)) for x in (a, b)]
+    value = float(np.sum(xlog[0]) + np.sum(xlog[1]))
+    tv_mix = tv_discrete(c_mix, n_mix)
+    weighted = float(np.dot(alphas, part_tvs))
+    rows = [(f"part{l}_channel_tv", tv, n.gamma) for l, (tv, n) in enumerate(zip(part_tvs, inst.noise_per_part))]
+    rows.append(("value_identity", abs(value - (-oracle.LOG4 + 2.0 * jsd_discrete(n_mix, inst.p_g))), oracle.VALUE_TOL))
+    rows += [(f"part{l}_tv_budget", tv, delta) for l, tv in enumerate(part_tvs)]
+    rows.append(("mixture_tv_concavity", tv_mix, weighted))
+    rows.append(("weighted_tv_budget", weighted, delta))
+    rows.append(("jsd_le_tv", jsd_discrete(c_mix, n_mix), tv_mix))
+    sqrt_parts = np.sqrt(jsd_discrete(n_mix, inst.p_g)) + np.sqrt(jsd_discrete(c_mix, n_mix))
+    rows.append(("sqrt_jsd_triangle", np.sqrt(jsd_discrete(c_mix, inst.p_g)), sqrt_parts))
+    return [(name, repr(float(lhs)), repr(float(rhs))) for name, lhs, rhs in rows]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(game_instances())
+def test_instance_checks_equal_the_pairwise_primitives_byte_for_byte(inst):
+    """One canonical support gives every report row the bits of the pairwise computation
+    on lattice laws, whose sums merge only up to roundoff (no single-linkage chains)."""
+    rows = [tuple(row.csv_row().split(",")[:3]) for row in oracle.instance_checks(inst, "all")]
+    assert rows == _rows_from_the_primitives(inst)

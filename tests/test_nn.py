@@ -708,6 +708,45 @@ class TestCheckpoint:
             nn.load_checkpoint(manifest)
 
 
+    def test_manifest_layout_is_unchanged(self, tmp_path):
+        params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(8))
+        manifest = nn.save_checkpoint(params, tmp_path / "net.json")
+        expected = {
+            "format": nn.CHECKPOINT_FORMAT,
+            "dtype": "<f8",
+            "weights_file": "net.bin",
+            "layers": [
+                {"fan_in": 2, "fan_out": 3, "activation": "tanh"},
+                {"fan_in": 3, "fan_out": 1, "activation": "identity"},
+            ],
+        }
+        assert manifest.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["layers"][0].update(fan_in=2.7), r"layers\[0\]\.fan_in must be a whole number, got 2\.7$"),
+            (lambda m: m["layers"][0].update(fan_in="2"), r"layers\[0\]\.fan_in must be a whole number, got '2'$"),
+            (lambda m: m["layers"][1].update(fan_out=0), r"layers\[1\]\.fan_out must be >= 1, got 0$"),
+            (lambda m: m.update(dtype=">f4"), r"dtype must be '<f8', got '>f4'$"),
+            (lambda m: m.pop("weights_file"), r"weights_file is required$"),
+            (lambda m: m.update(weights_file="../net.bin"), r"weights_file must be a bare file name, got '\.\./net\.bin'$"),
+            (lambda m: m.update(weights_file=".."), r"weights_file must be a bare file name, got '\.\.'$"),
+            (lambda m: m.update(weights_file="/tmp/net.bin"), r"weights_file must be a bare file name, got '/tmp/net\.bin'$"),
+        ],
+        ids=["fractional-fan-in", "string-fan-in", "zero-fan-out", "dtype", "no-weights-file",
+             "parent-dir", "dot-dot", "absolute"],
+    )
+    def test_bad_manifest_is_refused_naming_the_key(self, tmp_path, edit, message):
+        params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(9))
+        manifest = nn.save_checkpoint(params, tmp_path / "net.json")
+        meta = json.loads(manifest.read_text())
+        edit(meta)
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: {message}"):
+            nn.load_checkpoint(manifest)
+
+
 class TestFlatLayout:
     def test_layer_arrays_are_views_of_one_vector(self):
         rng = np.random.default_rng(60)

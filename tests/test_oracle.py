@@ -420,6 +420,28 @@ class TestInstanceChecks:
         with pytest.raises(ValueError):
             oracle.instance_checks(inst, "everything")
 
+    def test_a_chain_through_another_law_merges_atoms_for_every_row(self):
+        """Clean atom 0, channel atom 1.8e-12 and generator atom 0.9e-12: no two
+        laws' atoms are within MERGE_RTOL of each other except through 0.9e-12,
+        so the part and its noised image, aligned as a pair, are two atoms
+        apart, while all three laws on one support are one atom."""
+        p = _law([0.0], [1.0])
+        noise = dist.SpikeSlabNoise(0.5, dist.PointMassSlab(np.array([1.8e-12])))
+        p_g = _law([0.9e-12], [1.0])
+        assert tv_discrete(p, dist.discrete_convolve(p, noise)) == 0.5  # the pairwise view
+        assert jsd_discrete(dist.discrete_convolve(p, noise), p_g) == 0.0
+
+        inst = _single_part(p, p_g, noise)
+        assert inst.shared_support().support.shape == (1, 1)
+        rows = {row.name: row for row in oracle.instance_checks(inst, "all")}
+        assert rows["part0_channel_tv"].lhs == 0.0
+        assert rows["part0_tv_budget"].lhs == 0.0
+        assert rows["mixture_tv_concavity"].lhs == 0.0
+        assert rows["jsd_le_tv"].lhs == 0.0
+        assert rows["sqrt_jsd_triangle"].lhs == 0.0
+        assert rows["value_identity"].lhs == abs(-2.0 * np.log(2.0) + oracle.LOG4)
+        assert all(row.holds for row in rows.values())
+
     def test_optimal_value_does_not_call_the_jsd(self, monkeypatch):
         """The value identity compares two independent computations."""
         from tvgan import divergence
@@ -456,6 +478,22 @@ class TestGameInstance:
             oracle.GameInstance(
                 data_parts=[(p1, 1.0)], noise_per_part=_no_noise(), p_g=p2
             )
+
+    @pytest.mark.parametrize(
+        "slab, error, message",
+        [
+            (dist.GaussianSlab(np.array([1.0])), dist.UnsupportedSlabError, r"^noise\[1\]\.slab: GaussianSlab has continuous"),
+            (dist.DirichletSlab(1), dist.UnsupportedSlabError, r"^noise\[1\]\.slab: DirichletSlab has continuous"),
+            (dist.PointMassSlab(np.array([1.0, 0.0])), ValueError, r"^noise\[1\]: slab dimension 2 differs from the data dimension 1$"),
+            (_law([[0.0, 1.0]], [1.0]), ValueError, r"^noise\[1\]: slab dimension 2 differs from the data dimension 1$"),
+        ],
+        ids=["gaussian", "dirichlet", "point-mass-2d", "discrete-2d"],
+    )
+    def test_channel_without_an_exact_law_is_refused_when_built(self, slab, error, message):
+        p = _law([0.0], [1.0])
+        noise = [_no_noise()[0], dist.SpikeSlabNoise(0.5, slab)]
+        with pytest.raises(error, match=message):
+            oracle.GameInstance(data_parts=[(p, 0.5), (p, 0.5)], noise_per_part=noise, p_g=p)
 
     def test_zero_gamma_noised_parts_equal_clean_parts(self):
         p = _law([0.0, 2.0], [0.25, 0.75])
