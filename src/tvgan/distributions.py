@@ -40,12 +40,28 @@ def canonicalize(rows: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ..
     Each coordinate is clustered on its own (``_clusters``); rows sharing their cluster in every
     coordinate are one atom. Atoms are in lexicographic order, each its first row in input order.
     """
-    inverse = np.zeros(rows.shape[0], dtype=np.int64)
-    for col in rows.T:
-        ids, _ = _clusters(col, MERGE_RTOL)
-        inverse, first = _clusters(inverse * (ids.max() + 1) + ids, 0.0)  # below len(rows) ** 2
+    inverse, first = _atoms(rows)
     masses = [np.bincount(inverse, weights=w, minlength=first.size) for w in weights]
     return (rows[first], inverse, *masses)
+
+
+def _atoms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``canonicalize``'s atom of each row and each atom's first row in input order."""
+    n = rows.shape[0]
+    inverse, first = np.zeros(n, dtype=np.int64), np.arange(min(n, 1))  # no coordinates: one atom
+    for j, col in enumerate(rows.T):
+        ids, first = _clusters(col, MERGE_RTOL)
+        # atoms by (atom so far, cluster here), in that lexicographic order; keys below n ** 2
+        inverse, first = _clusters(inverse * first.size + ids, 0.0) if j else (ids, first)
+    return inverse, first
+
+
+def _distinct(rows: np.ndarray) -> bool:
+    """Whether ``canonicalize`` keeps every row, found without building its support: at once
+    when the clusters of one coordinate separate every row, else from ``_atoms``."""
+    if any(_gaps(np.sort(col), MERGE_RTOL).all() for col in rows.T):
+        return True
+    return _atoms(rows)[1].size == rows.shape[0]
 
 
 def _categorical_cdf(p: np.ndarray) -> np.ndarray:
@@ -65,19 +81,32 @@ def _draw_categorical(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.n
     return cdf.searchsorted(rng.random(n), side="right")
 
 
-def _clusters(values: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster id of each value, by value, and each cluster's first index in stable sort order.
-
-    Sorted, a new cluster starts where a value exceeds the last by over ``rtol * max(1, |a|, |b|)``.
-    """
-    order = values.argsort(kind="stable")
-    s = values[order]
+def _gaps(s: np.ndarray, rtol: float) -> np.ndarray:
+    """For sorted values, whether each starts a new cluster after the one before it: it exceeds
+    it by over ``rtol * max(1, |a|, |b|)``, or, with ``rtol`` 0 (integer keys), differs from it."""
+    if not rtol:
+        return s[1:] != s[:-1]
     mag = np.abs(s)
-    new = np.empty(s.size, dtype=bool)
-    new[0], new[1:] = True, s[1:] - s[:-1] > rtol * np.maximum(1.0, np.maximum(mag[1:], mag[:-1]))
-    ids = np.empty(s.size, dtype=np.int64)
+    return s[1:] - s[:-1] > rtol * np.maximum(1.0, np.maximum(mag[1:], mag[:-1]))
+
+
+def _clusters(values: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster id of each value, numbered by value (``_gaps``), and each cluster's first index
+    in input order."""
+    order = values.argsort(kind="stable")
+    new = np.empty(order.size, dtype=bool)
+    new[:1], new[1:] = True, _gaps(values[order], rtol)
+    ids = np.empty(order.size, dtype=np.int64)
     ids[order] = np.add.accumulate(new, dtype=np.int64) - 1
-    return ids, order[new]
+    return ids, np.minimum.reduceat(order, new.nonzero()[0])
+
+
+def _vector(name: str, value) -> np.ndarray:
+    """``value`` as a float64 vector: a scalar is one coordinate; nested or empty lists are refused."""
+    v = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a nonempty vector, got an array of shape {v.shape}")
+    return v
 
 
 @dataclass
@@ -96,7 +125,9 @@ class DiscreteDist:
             self.support = self.support.reshape(-1, 1)
         if self.support.ndim != 2 or self.support.shape[0] == 0:
             raise ValueError("support must be a nonempty [m, d] array")
-        self.probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+        if self.support.shape[1] == 0:
+            raise ValueError(f"support must have at least one coordinate, got shape {self.support.shape}")
+        self.probs = _vector("probs", self.probs)
         if self.probs.shape[0] != self.support.shape[0]:
             raise ValueError("support and probs lengths differ")
         if not np.isfinite(self.support).all():
@@ -106,7 +137,7 @@ class DiscreteDist:
         total = float(self.probs.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if canonicalize(self.support)[0].shape[0] != self.support.shape[0]:
+        if not _distinct(self.support):
             raise ValueError("support points must be pairwise distinct")
 
     @property
@@ -158,7 +189,7 @@ class GaussianSlab:
     std: np.ndarray
 
     def __post_init__(self):
-        self.std = np.atleast_1d(np.asarray(self.std, dtype=np.float64))
+        self.std = _vector("std", self.std)
         if np.any(self.std <= 0):
             raise ValueError(f"std must be positive, got {self.std.tolist()}")
 
@@ -181,7 +212,7 @@ class PointMassSlab:
     offset: np.ndarray
 
     def __post_init__(self):
-        self.offset = np.atleast_1d(np.asarray(self.offset, dtype=np.float64))
+        self.offset = _vector("offset", self.offset)
 
 
 SlabSpec = Union[GaussianSlab, DirichletSlab, PointMassSlab, DiscreteDist]
@@ -304,11 +335,12 @@ def channel_rows(p_x: DiscreteDist, noise: SpikeSlabNoise) -> tuple[np.ndarray, 
     d = p_x.dimension
     if points.shape[1] != d:
         raise ValueError(f"slab and distribution dimensions differ: {points.shape[1]} vs {d}")
-    z = np.vstack([np.zeros((1, d)), points])
+    z = np.concatenate([np.zeros((1, d)), points])
     pz = np.concatenate([[1.0 - noise.gamma], noise.gamma * q])
-    z, pz = z[pz > 0], pz[pz > 0]
+    keep = pz > 0
+    z, pz = z[keep], pz[keep]
     rows = (p_x.support[:, None, :] + z[None, :, :]).reshape(-1, d)
-    return rows, np.outer(p_x.probs, pz).reshape(-1)
+    return rows, (p_x.probs[:, None] * pz[None, :]).reshape(-1)
 
 
 def discrete_convolve(p_x: DiscreteDist, noise: SpikeSlabNoise) -> DiscreteDist:
@@ -332,8 +364,8 @@ class MixtureComponent:
     weight: float
 
     def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
-        self.cov_diag = np.atleast_1d(np.asarray(self.cov_diag, dtype=np.float64))
+        self.mean = _vector("mean", self.mean)
+        self.cov_diag = _vector("cov_diag", self.cov_diag)
         if self.mean.shape != self.cov_diag.shape:
             raise ValueError("mean and cov_diag must have the same shape")
         if np.any(self.cov_diag <= 0):
@@ -478,26 +510,37 @@ KINDS = {
 }
 
 
-def _whole_number(name: str, value) -> int:
+def _name(path) -> str:
+    """A JSON path as text. Readers pass a path down as ``(parent path, key)``, a str
+    key naming a field and an int key a list index, and render it only for a message."""
+    if isinstance(path, str):
+        return path
+    parent, key = _name(path[0]), path[1]
+    if isinstance(key, int):
+        return f"{parent}[{key}]"
+    return f"{parent}.{key}" if parent else key
+
+
+def _whole_number(path, value) -> int:
     """``value`` as an int. A JSON number with a fractional part, a boolean or a
     string is refused rather than truncated or coerced."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+    raise ValueError(f"{_name(path)} must be a whole number, got {value!r}")
 
 
-def _real_number(name: str, value) -> float:
+def _real_number(path, value) -> float:
     """``value`` as a finite float. A boolean, a string, NaN or an infinity is refused."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{_name(path)} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # also refuses nan, and ints past float range
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{_name(path)} must be finite, got {value!r}")
     return float(value)
 
 
-def _array(name: str, value) -> np.ndarray:
+def _array(path, value) -> np.ndarray:
     """Nested lists of finite numbers as an array: not ragged, no booleans, no strings."""
     try:
         a = np.asarray(value) if isinstance(value, list) else None
@@ -510,12 +553,14 @@ def _array(name: str, value) -> np.ndarray:
         if bool not in set(map(type, flat)):  # a true among numbers reads as 1
             return a
     raise ValueError(
-        f"{name} must be a rectangular list of finite numbers, got {reprlib.repr(value)}"
+        f"{_name(path)} must be a rectangular list of finite numbers, got {reprlib.repr(value)}"
     )
 
 
-def _join(path: str, name: str) -> str:
-    return f"{path}.{name}" if path else name
+def _string(path, value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{_name(path)} must be a string, got {value!r}")
 
 
 @cache
@@ -530,10 +575,10 @@ def _fields(cls) -> dict[str, tuple[object, bool]]:
     }
 
 
-def _object(path: str, value) -> dict:
+def _object(path, value) -> dict:
     if isinstance(value, dict):
         return value
-    raise ValueError(f"{path or 'the document'} must be a JSON object, got {reprlib.repr(value)}")
+    raise ValueError(f"{_name(path) or 'the document'} must be a JSON object, got {reprlib.repr(value)}")
 
 
 def to_json(value):
@@ -560,56 +605,85 @@ def from_json(kind, value, path: str = ""):
     field; a field it leaves out takes the dataclass default. A ``ValueError``
     from the dataclass's own checks is prefixed with ``path``.
     """
-    if kind is int:
-        return _whole_number(path, value)
-    if kind is float:
-        return _real_number(path, value)
-    if kind is np.ndarray:
-        return _array(path, value)
-    if kind is str:
-        if isinstance(value, str):
-            return value
-        raise ValueError(f"{path} must be a string, got {value!r}")
+    return _reader(kind)(path, value)
+
+
+@cache
+def _reader(kind):
+    """``from_json``'s reader for ``kind``, a function of ``(path, value)``: the type's
+    fields, hints, tags and item type are looked up once, on first use."""
+    scalars = {int: _whole_number, float: _real_number, np.ndarray: _array, str: _string}
+    if kind in scalars:
+        return scalars[kind]
     origin = get_origin(kind)
     if origin is list:
-        if not isinstance(value, list):
-            raise ValueError(f"{path} must be a list, got {reprlib.repr(value)}")
-        (item,) = get_args(kind)
-        scalar = item in (int, float, str)  # named by the list
-        return [from_json(item, v, path if scalar else f"{path}[{i}]") for i, v in enumerate(value)]
+        return _list_reader(*get_args(kind))
     if origin in (Union, types.UnionType):
-        members = [m for m in get_args(kind) if m is not type(None)]
-        if value is None and len(members) < len(get_args(kind)):
+        return _union_reader(get_args(kind))
+    return _dataclass_reader(kind)
+
+
+def _list_reader(item):
+    read = _reader(item)
+    by_index = item not in (int, float, str)  # scalars are named by the list
+
+    def read_list(path, value):
+        if not isinstance(value, list):
+            raise ValueError(f"{_name(path)} must be a list, got {reprlib.repr(value)}")
+        if by_index:
+            return [read((path, i), v) for i, v in enumerate(value)]
+        return [read(path, v) for v in value]
+
+    return read_list
+
+
+def _union_reader(args):
+    members = [m for m in args if m is not type(None)]
+    optional = len(members) < len(args)
+    if len(members) == 1:
+        read = _reader(members[0])
+        return (lambda path, value: None if value is None else read(path, value)) if optional else read
+    tags = {KINDS[m]: _reader(m) for m in members}
+
+    def read_tagged(path, value):
+        if value is None and optional:
             return None
-        if len(members) == 1:
-            return from_json(members[0], value, path)
-        tags = {KINDS[m]: m for m in members}
         tag = _object(path, value).get("kind")
-        if tag not in tags:
+        if not isinstance(tag, str) or tag not in tags:
             known = ", ".join(map(repr, tags))
-            raise ValueError(f"{_join(path, 'kind')} must be one of {known}, got {tag!r}")
-        kind = tags[tag]
-    declared = _fields(kind)
+            raise ValueError(f"{_name((path, 'kind'))} must be one of {known}, got {tag!r}")
+        return tags[tag](path, value)
+
+    return read_tagged
+
+
+def _dataclass_reader(kind):
+    declared = {name: (_reader(hint), required) for name, (hint, required) in _fields(kind).items()}
     tag = KINDS.get(kind)
-    for key in _object(path, value):
-        if key not in declared and not (tag and key == "kind"):
-            raise ValueError(f"{_join(path, key)} is not a known key")
-    if tag and value.get("kind") != tag:
-        raise ValueError(f"{_join(path, 'kind')} must be {tag!r}, got {value.get('kind')!r}")
-    args = {}
-    for name, (hint, required) in declared.items():
-        if name in value:
-            args[name] = from_json(hint, value[name], _join(path, name))
-        elif required:
-            raise ValueError(f"{_join(path, name)} is required")
-    try:
-        return kind(**args)
-    except ValueError as exc:
-        if not path:
-            raise
-        message = str(exc)  # "radius must be ..." reads as "<path>.radius must be ..."
-        sep = "." if message.split(" ", 1)[0] in declared else ": "
-        raise ValueError(f"{path}{sep}{message}") from exc
+    keys = declared.keys() | ({"kind"} if tag else set())
+
+    def read_dataclass(path, value):
+        for key in _object(path, value):
+            if key not in keys:
+                raise ValueError(f"{_name((path, key))} is not a known key")
+        if tag and value.get("kind") != tag:
+            raise ValueError(f"{_name((path, 'kind'))} must be {tag!r}, got {value.get('kind')!r}")
+        args = {}
+        for name, (read, required) in declared.items():
+            if name in value:
+                args[name] = read((path, name), value[name])
+            elif required:
+                raise ValueError(f"{_name((path, name))} is required")
+        try:
+            return kind(**args)
+        except ValueError as exc:
+            if not path:
+                raise
+            message = str(exc)  # "radius must be ..." reads as "<path>.radius must be ..."
+            sep = "." if message.split(" ", 1)[0] in declared else ": "
+            raise ValueError(f"{_name(path)}{sep}{message}") from exc
+
+    return read_dataclass
 
 
 def discrete_dist_from_dict(d: dict) -> DiscreteDist:

@@ -31,7 +31,8 @@ def _jsd_arrays(pv: np.ndarray, qv: np.ndarray) -> float:
     terms = 0.0
     for v in (pv, qv):
         pos = v > 0
-        terms += float(np.sum(v[pos] * np.log(2.0 * v[pos] / total[pos])))
+        v = v[pos]
+        terms += float((v * np.log(2.0 * v / total[pos])).sum())
     # Cancellation can push the sum a few ulp outside [0, ln 2]; clamp so
     # sqrt(jsd) and the budget comparisons never see a stray sign.
     return float(min(LN2, max(0.0, 0.5 * terms)))

@@ -12,8 +12,8 @@ against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, combinations, islice
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -82,6 +82,8 @@ class SharedSupport:
     p_g: Masses
     clean_mixture: Masses
     noised_mixture: Masses
+    mixtures: tuple[np.ndarray, np.ndarray]   # both mixtures on the union of their supports
+    generator: tuple[np.ndarray, np.ndarray]  # the noised mixture and p_g on theirs
 
 
 @dataclass
@@ -95,13 +97,14 @@ class GameInstance:
     data_parts: list[tuple[DiscreteDist, float]]  # (distribution, alpha)
     noise_per_part: list[SpikeSlabNoise]
     p_g: DiscreteDist
+    alphas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.data_parts:
             raise ValueError("need at least one data part")
         if len(self.data_parts) != len(self.noise_per_part):
             raise ValueError("one noise channel per data part is required")
-        alphas = np.array([a for _, a in self.data_parts], dtype=np.float64)
+        self.alphas = alphas = np.array([a for _, a in self.data_parts], dtype=np.float64)
         if np.any(alphas <= 0) or abs(alphas.sum() - 1.0) > 1e-12:
             raise ValueError("the alphas of data_parts must be positive and sum to 1")
         dims = {dist.dimension for dist, _ in self.data_parts} | {self.p_g.dimension}
@@ -117,10 +120,6 @@ class GameInstance:
                 raise ValueError(
                     f"noise[{l}]: slab dimension {noise.dimension} differs from the data dimension {dim}"
                 )
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([a for _, a in self.data_parts])
 
     @_kept
     def noised_parts(self) -> list[DiscreteDist]:
@@ -150,10 +149,10 @@ class GameInstance:
         clean = [dist for dist, _ in self.data_parts]
         channels = [channel_rows(dist, noise) for dist, noise in zip(clean, self.noise_per_part)]
         blocks = [(d.support, d.probs) for d in clean] + channels + [(self.p_g.support, self.p_g.probs)]
-        support, inverse = canonicalize(np.vstack([rows for rows, _ in blocks]))
+        support, inverse = canonicalize(np.concatenate([rows for rows, _ in blocks]))
         k = support.shape[0]
-        ends = np.cumsum([rows.shape[0] for rows, _ in blocks])
-        atoms = np.split(inverse, ends[:-1])
+        bounds = [0, *accumulate(w.size for _, w in blocks)]
+        atoms = [inverse[a:b] for a, b in zip(bounds, bounds[1:])]
         masses = [np.bincount(i, weights=w, minlength=k) for i, (_, w) in zip(atoms, blocks)]
         parts = len(clean)
         on_input = [np.bincount(i, minlength=k) > 0 for i in atoms[:parts] + atoms[-1:]]
@@ -161,13 +160,17 @@ class GameInstance:
         for alpha, c, n in zip(self.alphas, masses[:parts], masses[parts:-1]):
             clean_mix += alpha * c
             noised_mix += alpha * n
+        p_g = Masses(masses[-1], on_input[-1])
+        clean_mixture, noised_mixture = Masses(clean_mix, clean_mix > 0), Masses(noised_mix, noised_mix > 0)
         return SharedSupport(
             support=support,
             clean=[Masses(m, on) for m, on in zip(masses[:parts], on_input)],
             noised=[Masses(m, m > 0) for m in masses[parts:-1]],
-            p_g=Masses(masses[-1], on_input[-1]),
-            clean_mixture=Masses(clean_mix, clean_mix > 0),
-            noised_mixture=Masses(noised_mix, noised_mix > 0),
+            p_g=p_g,
+            clean_mixture=clean_mixture,
+            noised_mixture=noised_mixture,
+            mixtures=_on_union(clean_mixture, noised_mixture),
+            generator=_on_union(noised_mixture, p_g),
         )
 
     @_kept
@@ -179,14 +182,12 @@ class GameInstance:
     @_kept
     def mixture_jsd(self) -> float:
         """JSD(clean mixture, noised mixture)."""
-        s = self.shared_support()
-        return _jsd_arrays(*_on_union(s.clean_mixture, s.noised_mixture))
+        return _jsd_arrays(*self.shared_support().mixtures)
 
     @_kept
     def generator_jsd(self) -> float:
         """JSD(noised mixture, generator)."""
-        s = self.shared_support()
-        return _jsd_arrays(*_on_union(s.noised_mixture, s.p_g))
+        return _jsd_arrays(*self.shared_support().generator)
 
     def to_dict(self) -> dict:
         parts = [_PartFile(dist, alpha) for dist, alpha in self.data_parts]
@@ -250,8 +251,7 @@ def optimal_value(inst: GameInstance) -> float:
     it always equals ``-log 4 + 2 * JSD(noised mixture, generator)`` up to
     roundoff, and -log 4 exactly when the two laws coincide.
     """
-    s = inst.shared_support()
-    a, b = _on_union(s.noised_mixture, s.p_g)
+    a, b = inst.shared_support().generator
     total = a + b
     return float(np.sum(_xlog_share(a, total)) + np.sum(_xlog_share(b, total)))
 
@@ -370,7 +370,7 @@ def mixture_chain_check(inst: GameInstance, delta: float) -> ChainReport:
     part_tvs = inst.part_tvs()
     checks = [_ineq(f"part{l}_tv_budget", tv, delta) for l, tv in enumerate(part_tvs)]
     s = inst.shared_support()
-    tv_mix = _tv_arrays(*_on_union(s.clean_mixture, s.noised_mixture))
+    tv_mix = _tv_arrays(*s.mixtures)
     weighted = float(np.dot(inst.alphas, part_tvs))
     checks.append(_ineq("mixture_tv_concavity", tv_mix, weighted))
     checks.append(_ineq("weighted_tv_budget", weighted, delta))

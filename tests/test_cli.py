@@ -340,6 +340,25 @@ class TestTrainCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "slab,path",
+        [
+            ({"kind": "gaussian", "std": [[0.5, 0.5]]}, "datasets[0].noise.slab.std"),
+            ({"kind": "point_mass", "offset": [[0.5, 0.5]]}, "datasets[0].noise.slab.offset"),
+        ],
+        ids=["std", "offset"],
+    )
+    def test_nested_slab_vector_is_a_usage_error_named_by_its_path(self, tmp_path, capsys, slab, path):
+        raw = json.loads(_write_config(tmp_path).read_text())
+        raw["datasets"][0]["noise"] = {"gamma": 0.5, "slab": slab}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config.json: {path} must be a nonempty vector, got an array of shape (1, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOracleCommand:
     def test_matched_zero_noise_instance_passes_all_checks(self, tmp_path, capsys):
         inst = _write_instance(tmp_path)
@@ -416,6 +435,28 @@ class TestOracleCommand:
         inst = _write_instance(tmp_path, gamma=0.5)
         raw = json.loads(inst.read_text())
         raw["noise"][0]["slab"] = slab
+        inst.write_text(json.dumps(raw))
+        report = tmp_path / "report.csv"
+        assert cli.main(["oracle", "--instance", str(inst), "--out", str(report)]) == 2
+        assert f"instance.json: {message}" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda i: i["p_g"].update(support=[[]], probs=[1.0]),
+             "p_g.support must have at least one coordinate, got shape (1, 0)"),
+            (lambda i: i["p_g"].update(probs=[[0.5], [0.5]]), "p_g.probs must be a nonempty vector, got an array of shape (2, 1)"),
+            (lambda i: i["noise"][0]["slab"].update(offset=[[1.0]]),
+             "noise[0].slab.offset must be a nonempty vector, got an array of shape (1, 1)"),
+            (lambda i: i["noise"][0]["slab"].update(kind=["point_mass"]), "noise[0].slab.kind must be one of 'gaussian', "),
+        ],
+        ids=["no-coordinates", "nested-probs", "nested-offset", "list-kind"],
+    )
+    def test_misshapen_value_is_a_usage_error_named_by_its_path(self, tmp_path, capsys, edit, message):
+        inst = _write_instance(tmp_path, gamma=0.5)
+        raw = json.loads(inst.read_text())
+        edit(raw)
         inst.write_text(json.dumps(raw))
         report = tmp_path / "report.csv"
         assert cli.main(["oracle", "--instance", str(inst), "--out", str(report)]) == 2
@@ -617,6 +658,23 @@ class TestSampleCommand:
         spec_path.write_text(json.dumps(spec))
         assert cli.main(["sample", str(spec_path), "--out", str(out)]) == 2
         assert f"spec.json: {path} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mean,cov_diag,message",
+        [
+            ([[-1.5, 0.0]], [[0.0625, 0.0625]], "components[0].mean must be a nonempty vector, got an array of shape (1, 2)"),
+            ([-1.5, 0.0], [[0.0625, 0.0625]], "components[0].cov_diag must be a nonempty vector, got an array of shape (1, 2)"),
+            ([], [], "components[0].mean must be a nonempty vector, got an array of shape (0,)"),
+        ],
+        ids=["nested", "nested-cov_diag", "empty"],
+    )
+    def test_misshapen_component_vector_is_a_usage_error(self, tmp_path, capsys, mean, cov_diag, message):
+        spec = {"kind": "gaussian_mixture", "components": [{"mean": mean, "cov_diag": cov_diag, "weight": 1.0}]}
+        spec_path, out = tmp_path / "spec.json", tmp_path / "rows.txt"
+        spec_path.write_text(json.dumps(spec))
+        assert cli.main(["sample", str(spec_path), "--out", str(out)]) == 2
+        assert f"spec.json: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

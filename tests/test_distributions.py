@@ -5,6 +5,11 @@ every (input atom, channel atom) pair written out in the test module, so
 the library code and the oracle never share a code path.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,6 +88,61 @@ class TestDiscreteDist:
             dist.DiscreteDist(np.array([0.0, bad]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             dist.DiscreteDist(np.array([0.0, 1.0]), np.array([bad, 0.5]))
+
+    def test_building_a_law_calls_canonicalize_no_times(self, monkeypatch):
+        """The distinct-points check tests the merge rule on the clusters alone."""
+        calls, canonicalize = [], dist.canonicalize
+        monkeypatch.setattr(dist, "canonicalize", lambda *args: calls.append(1) or canonicalize(*args))
+        dist.DiscreteDist(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        # no coordinate separates every row: the rows are regrouped by both
+        dist.DiscreteDist(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            dist.DiscreteDist(np.array([[0.0, 0.0], [0.0, 1.0], [1e-13, 0.0]]), np.full(3, 1 / 3))
+        assert calls == []
+
+    def test_support_without_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="support must have at least one coordinate, got shape \\(1, 0\\)"):
+            dist.DiscreteDist(np.zeros((1, 0)), np.array([1.0]))
+
+    def test_nested_probs_rejected(self):
+        with pytest.raises(ValueError, match="probs must be a nonempty vector, got an array of shape \\(2, 1\\)"):
+            dist.DiscreteDist(np.array([0.0, 1.0]), np.array([[0.5], [0.5]]))
+        with pytest.raises(ValueError, match="probs must be a nonempty vector"):
+            dist.DiscreteDist(np.array([0.0]), np.array([[1.0]]))
+        assert dist.DiscreteDist(np.array([2.0]), 1.0).probs.shape == (1,)
+
+
+class TestVectorFields:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: dist.GaussianSlab(np.array([[0.5, 0.5]])), "std"),
+            (lambda: dist.PointMassSlab(np.array([[1.0]])), "offset"),
+            (lambda: dist.MixtureComponent(np.array([[-1.5, 0.0]]), np.array([0.0625, 0.0625]), 1.0), "mean"),
+            (lambda: dist.MixtureComponent(np.array([-1.5, 0.0]), np.array([[0.0625, 0.0625]]), 1.0), "cov_diag"),
+            (lambda: dist.GaussianSlab(np.array([])), "std"),
+            (lambda: dist.PointMassSlab([]), "offset"),
+            (lambda: dist.MixtureComponent([], [], 1.0), "mean"),
+        ],
+        ids=["std", "offset", "mean", "cov_diag", "empty-std", "empty-offset", "empty-mean"],
+    )
+    def test_nested_or_empty_arrays_are_refused_naming_the_field(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a nonempty vector"):
+            build()
+
+    def test_a_scalar_is_one_coordinate(self):
+        assert dist.GaussianSlab(0.5).std.shape == (1,)
+        assert dist.PointMassSlab(1.0).offset.shape == (1,)
+        component = dist.MixtureComponent(0.0, 1.0, 1.0)
+        assert component.mean.shape == component.cov_diag.shape == (1,)
+
+
+class TestCanonicalize:
+    def test_rows_without_coordinates_are_one_atom(self):
+        support, inverse, mass = dist.canonicalize(np.zeros((3, 0)), np.array([0.5, 0.25, 0.25]))
+        assert support.shape == (1, 0)
+        np.testing.assert_array_equal(inverse, [0, 0, 0])
+        np.testing.assert_array_equal(mass, [1.0])
 
 
 class TestMixture:
@@ -513,6 +573,19 @@ class TestSerialization:
     def test_dataset_spec_roundtrip(self, spec):
         again = dist.dataset_spec_from_dict(dist.to_json(spec))
         assert dist.to_json(again) == dist.to_json(spec)
+
+    def test_readers_are_built_on_first_use_and_kept(self):
+        """Importing the package builds no JSON reader; reading a type resolves its readers once."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = "import tvgan.cli; from tvgan.distributions import _reader; print(_reader.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "0"
+        spec = dist.to_json(dist.GaussianMixture([dist.MixtureComponent(np.array([1.0]), np.array([0.5]), 1.0)]))
+        dist.from_json(dist.DatasetSpec, spec)
+        built = dist._reader.cache_info().misses
+        dist.from_json(dist.DatasetSpec, spec)
+        assert dist._reader.cache_info().misses == built
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError):

@@ -154,3 +154,75 @@ def test_instance_checks_equal_the_pairwise_primitives_byte_for_byte(inst):
     on lattice laws, whose sums merge only up to roundoff (no single-linkage chains)."""
     rows = [tuple(row.csv_row().split(",")[:3]) for row in oracle.instance_checks(inst, "all")]
     assert rows == _rows_from_the_primitives(inst)
+
+
+def _clusters_before(values, rtol):
+    """``distributions._clusters`` as it was before the distinct-points check, kept as a reference."""
+    order = values.argsort(kind="stable")
+    s = values[order]
+    mag = np.abs(s)
+    new = np.empty(s.size, dtype=bool)
+    new[0], new[1:] = True, s[1:] - s[:-1] > rtol * np.maximum(1.0, np.maximum(mag[1:], mag[:-1]))
+    ids = np.empty(s.size, dtype=np.int64)
+    ids[order] = np.add.accumulate(new, dtype=np.int64) - 1
+    return ids, order[new]
+
+
+def _canonicalize_before(rows, *weights):
+    """``distributions.canonicalize`` as it was, with an integer regrouping after every coordinate."""
+    inverse = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        ids, _ = _clusters_before(col, dist.MERGE_RTOL)
+        inverse, first = _clusters_before(inverse * (ids.max() + 1) + ids, 0.0)
+    masses = [np.bincount(inverse, weights=w, minlength=first.size) for w in weights]
+    return (rows[first], inverse, *masses)
+
+
+# Nudges in merge tolerances: within (0.5, 0.9), at (1.0) and beyond (1.1, 2.0) the
+# tolerance; 0.9 and 1.8 from one point make a single-linkage chain.
+NUDGES = [0.0, 0.5, -0.5, 0.9, 1.0, -1.0, 1.1, 1.8, 2.0, -2.0]
+
+
+@st.composite
+def near_supports(draw):
+    """Rows on a coarse lattice of spacing 0.1, 0.3, 1 or 1e6, so cells repeat, each
+    coordinate nudged by a few merge tolerances; sometimes a chain of rows each 0.9
+    tolerances past the last in one coordinate."""
+    dim = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([0.1, 0.3, 1.0, 1e6]))
+    m = draw(st.integers(1, 7))
+    cells = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=m, max_size=m))
+    rows = np.array(cells, dtype=float) * scale
+    nudges = np.array(draw(st.lists(st.sampled_from(NUDGES), min_size=m * dim, max_size=m * dim)))
+    rows += nudges.reshape(m, dim) * dist.MERGE_RTOL * np.maximum(1.0, np.abs(rows))
+    links = draw(st.integers(0, 3))
+    if links:
+        start, j = rows[draw(st.integers(0, m - 1))], draw(st.integers(0, dim - 1))
+        chain = np.repeat(start[None, :], links, axis=0)
+        chain[:, j] += 0.9 * dist.MERGE_RTOL * max(1.0, abs(start[j])) * np.arange(1, links + 1)
+        rows = np.vstack([rows, chain])
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(near_supports())
+def test_the_distinct_points_check_accepts_exactly_what_canonicalize_keeps(rows):
+    m = rows.shape[0]
+    keeps_every_row = dist.canonicalize(rows)[0].shape[0] == m
+    assert dist._distinct(rows) == keeps_every_row
+    probs = np.full(m, 1.0 / m)
+    if keeps_every_row:
+        dist.DiscreteDist(rows, probs)
+    else:
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            dist.DiscreteDist(rows, probs)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(near_supports(), st.randoms(use_true_random=False))
+def test_canonicalize_equals_its_previous_implementation_bit_for_bit(rows, rnd):
+    weights = np.array([rnd.random() for _ in range(rows.shape[0])])
+    now, before = dist.canonicalize(rows, weights), _canonicalize_before(rows, weights)
+    assert len(now) == len(before) == 3
+    for a, b in zip(now, before):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
