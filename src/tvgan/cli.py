@@ -54,9 +54,11 @@ def _load_json(path: str) -> dict:
     if not p.is_file():
         raise UsageError(f"file not found: {p}")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if not isinstance(data, dict):
         raise UsageError(f"{p}: must be a JSON object, got {type(data).__name__}")
     return data

@@ -69,10 +69,12 @@ class HistogramEstimator:
 
     def __post_init__(self):
         self.bounds = np.asarray(self.bounds, dtype=np.float64)
-        if self.bounds.ndim == 1:
+        if self.bounds.shape == (2,):  # one [low, high] pair
             self.bounds = self.bounds.reshape(1, 2)
         if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
-            raise ValueError("bounds must be a [d, 2] array of [low, high] pairs")
+            raise ValueError(
+                f"bounds must be a [d, 2] array of [low, high] pairs, got shape {self.bounds.shape}"
+            )
         if not np.isfinite(self.bounds).all():
             raise ValueError(f"bounds must be finite, got {self.bounds.tolist()}")
         if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):

@@ -7,11 +7,13 @@ b0, W1, b1, ... row-major (the checkpoint blob's layout), its layers' arrays
 are views into it at offsets computed once (``_Layout``), and its gradients
 and Adam moments are plain vectors of the same layout.
 
-Backward and Adam each have one in-place kernel (``_backward``,
-``_adam_in_place``) that writes into vectors its caller owns and builds no
-per-layer containers. ``mlp_backward`` and ``adam_step`` allocate or copy
-once and run it; ``training`` runs the kernels on one working copy per step
-(``_working_copy``).
+The backward pass has one in-place kernel, ``_backward``, that writes
+into a gradient vector its caller owns and builds no per-layer containers;
+``mlp_backward`` allocates that vector once and runs it, and ``training``'s
+objectives run it directly to sum passes into one vector and to skip work
+they discard. ``adam_step`` copies the parameter vector and both moments
+once and updates the copies in place; it is the only Adam update, so each
+training step's one copy happens there.
 
 ``mlp_apply`` is the forward without a backward cache. It runs a batch of
 more than ``APPLY_BLOCK_ROWS`` rows in row blocks, so its hidden activations
@@ -389,12 +391,6 @@ def init_adam(
     return AdamState(lr, beta1, beta2, epsilon, first_moment=m, second_moment=v)
 
 
-def _working_copy(params: MlpParams, state: AdamState) -> tuple[MlpParams, AdamState]:
-    """Copies of ``params`` and ``state`` for the in-place kernels to update."""
-    m, v = state.first_moment.copy(), state.second_moment.copy()
-    return params.copy(), replace(state, first_moment=m, second_moment=v)
-
-
 def _as_grad(params: MlpParams, grads) -> np.ndarray:
     """``grads`` as a float64 vector, checked to be laid out like ``params.flat``."""
     g = _as_f64(grads)
@@ -403,18 +399,29 @@ def _as_grad(params: MlpParams, grads) -> np.ndarray:
     return g
 
 
-def _adam_in_place(params: MlpParams, g: np.ndarray, state: AdamState, direction: str) -> None:
-    """Adam kernel: one bias-corrected update of ``params`` and ``state``, in place.
+def adam_step(
+    params: MlpParams,
+    grads: np.ndarray,
+    state: AdamState,
+    direction: str = "descend",
+) -> tuple[MlpParams, AdamState]:
+    """One bias-corrected Adam update with the requested sign.
 
-    ``g`` is the gradient vector, laid out like ``params.flat``.
-    ``direction="ascend"`` moves parameters up the gradient, ``"descend"`` down.
+    ``grads`` is a vector laid out like ``params.flat``. ``direction="ascend"``
+    moves parameters up the gradient (discriminator), ``"descend"`` moves them
+    down (generator). Returns fresh params and state and leaves its inputs
+    untouched: the parameter vector and both moments are copied once, and the
+    update runs on the copies in place.
     """
+    g = _as_grad(params, grads)
     if direction not in ("ascend", "descend"):
         raise ValueError(f"direction must be 'ascend' or 'descend', got {direction!r}")
     if not np.isfinite(g).all():
         raise NonFiniteError("gradients", layer=params._layout.first_non_finite_layer(g))
     t = state.step_count + 1
-    m, v, flat = state.first_moment, state.second_moment, params.flat
+    m, v = state.first_moment.copy(), state.second_moment.copy()
+    params, state = params.copy(), replace(state, first_moment=m, second_moment=v, step_count=t)
+    flat = params.flat
     # The operations of
     #   m = beta1 * m + (1 - beta1) * g,   v = beta2 * v + (1 - beta2) * g * g,
     #   step = lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + epsilon),
@@ -439,25 +446,6 @@ def _adam_in_place(params: MlpParams, g: np.ndarray, state: AdamState, direction
         flat -= step
     if not np.isfinite(flat).all():
         raise NonFiniteError("layer parameters", layer=params._layout.first_non_finite_layer(flat))
-    state.step_count = t
-
-
-def adam_step(
-    params: MlpParams,
-    grads: np.ndarray,
-    state: AdamState,
-    direction: str = "descend",
-) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update with the requested sign.
-
-    ``grads`` is a vector laid out like ``params.flat``. ``direction="ascend"``
-    moves parameters up the gradient (discriminator), ``"descend"`` moves them
-    down (generator). Returns fresh params and state and leaves its inputs
-    untouched.
-    """
-    g = _as_grad(params, grads)
-    params, state = _working_copy(params, state)
-    _adam_in_place(params, g, state, direction)
     return params, state
 
 

@@ -219,19 +219,12 @@ def discriminator_objective(
 
     ``sum_l alpha_l * mean_i log D(x_l_i) + mean_i log(1 - D(fake_i))``.
     Returns (value, gradient vector laid out like ``d_params.flat``, mean
-    score on real data weighted by alpha, mean score on fakes).
+    score on real data weighted by alpha, mean score on fakes). The gradient
+    is the sum of one backward pass per batch, added in pass order (real
+    batches, then the fake one); each pass after the first goes through a
+    scratch vector.
     """
     grads, scratch = np.empty((2, d_params.flat.size))
-    value, mean_real, mean_fake = _discriminator_objective(
-        d_params, real_batches, alphas, fake_batch, grads, scratch
-    )
-    return value, grads, mean_real, mean_fake
-
-
-def _discriminator_objective(d_params, real_batches, alphas, fake_batch, grads, scratch):
-    """``discriminator_objective`` writing its gradient into the vector
-    ``grads``; each backward pass after the first goes through ``scratch`` and
-    is added to ``grads`` in pass order (real batches, then the fake one)."""
     passes = 0
 
     def backprop(cache, out_grad):
@@ -259,7 +252,7 @@ def _discriminator_objective(d_params, real_batches, alphas, fake_batch, grads, 
     backprop(cache, -(1.0 / n) * log_grad)
     # alphas may arrive as a numpy vector; keep the scalar outputs plain floats
     # so downstream repr()-based serialization stays portable.
-    return float(value), float(mean_real), mean_fake
+    return float(value), grads, float(mean_real), mean_fake
 
 
 def generator_objective(
@@ -273,16 +266,9 @@ def generator_objective(
 
     ``minimax`` descends ``mean log(1 - D(G(z)))``; ``non_saturating``
     descends ``-mean log D(G(z))``, which has the same fixed point but does
-    not stall when the discriminator confidently rejects fakes.
+    not stall when the discriminator confidently rejects fakes. The pass back
+    through the frozen discriminator computes only d(loss)/d(fake).
     """
-    grads = np.empty_like(g_params.flat)
-    value = _generator_objective(g_params, d_params, latent_batch, loss_kind, grads)
-    return value, grads
-
-
-def _generator_objective(g_params, d_params, latent_batch, loss_kind, grads) -> float:
-    """``generator_objective`` writing its gradient into the vector ``grads``.
-    The pass through the frozen discriminator computes only d(loss)/d(fake)."""
     fake, g_cache = nn.mlp_forward(g_params, latent_batch)
     score, d_cache = nn.mlp_forward(d_params, fake)
     n = score.shape[0]
@@ -296,8 +282,9 @@ def _generator_objective(g_params, d_params, latent_batch, loss_kind, grads) -> 
         raise ValueError(f"unknown generator loss {loss_kind!r}")
     score_grad = -(1.0 / n) * log_grad
     fake_grad = nn._backward(d_params, d_cache, score_grad, None)
+    grads = np.empty_like(g_params.flat)
     nn._backward(g_params, g_cache, fake_grad, grads, input_grad=False)
-    return value
+    return value, grads
 
 
 @dataclass
@@ -316,10 +303,10 @@ def discriminator_step(
 ) -> tuple[nn.MlpParams, nn.AdamState, DiscStepStats]:
     """One ascent step: fresh noised minibatches per dataset, one latent batch.
 
-    Copies ``d_params`` and ``d_state`` once, updates the copy in place and
-    returns it; the inputs are left untouched.
+    ``discriminator_objective`` on those batches, then ``nn.adam_step``
+    ascending its gradient; returns fresh params and state and leaves the
+    inputs untouched.
     """
-    d_params, d_state = nn._working_copy(d_params, d_state)
     real_batches = []
     for part in config.datasets:
         batch = sample_dataset(part.spec, config.batch_size, rng)
@@ -327,13 +314,10 @@ def discriminator_step(
         real_batches.append(noised)
     z = sample_latent(config.latent, config.batch_size, rng)
     fake = nn.mlp_apply(g_params, z)
-    grads, scratch = np.empty((2, d_params.flat.size))
-    value, mean_real, mean_fake = _discriminator_objective(
-        d_params, real_batches, config.alphas, fake, grads, scratch
-    )
+    value, grads, mean_real, mean_fake = discriminator_objective(d_params, real_batches, config.alphas, fake)
     if not np.isfinite(value):
         raise nn.NonFiniteError("discriminator objective")
-    nn._adam_in_place(d_params, grads, d_state, "ascend")
+    d_params, d_state = nn.adam_step(d_params, grads, d_state, "ascend")
     return d_params, d_state, DiscStepStats(value, mean_real, mean_fake)
 
 
@@ -346,16 +330,15 @@ def generator_step(
 ) -> tuple[nn.MlpParams, nn.AdamState, float]:
     """One descent step on the generator with the discriminator frozen.
 
-    Copies ``g_params`` and ``g_state`` once, updates the copy in place and
-    returns it; the inputs are left untouched.
+    ``generator_objective`` on a fresh latent batch, then ``nn.adam_step``
+    descending its gradient; returns fresh params and state and leaves the
+    inputs untouched.
     """
-    g_params, g_state = nn._working_copy(g_params, g_state)
     z = sample_latent(config.latent, config.batch_size, rng)
-    grads = np.empty_like(g_params.flat)
-    value = _generator_objective(g_params, d_params, z, config.generator_loss, grads)
+    value, grads = generator_objective(g_params, d_params, z, config.generator_loss)
     if not np.isfinite(value):
         raise nn.NonFiniteError("generator objective")
-    nn._adam_in_place(g_params, grads, g_state, "descend")
+    g_params, g_state = nn.adam_step(g_params, grads, g_state, "descend")
     return g_params, g_state, value
 
 

@@ -126,6 +126,25 @@ class TestParserBasics:
         assert seen == [str(inst)]
 
 
+class TestJsonInputFiles:
+    @pytest.mark.parametrize("command", ["train", "oracle", "sample"])
+    def test_a_file_that_is_not_utf8_is_a_usage_error_that_writes_nothing(
+        self, tmp_path, capsys, command
+    ):
+        bad, out = tmp_path / "utf16.json", tmp_path / "out"
+        bad.write_bytes(b"\xff\xfe{}")
+        argv = {
+            "train": ["train", "--config", str(bad), "--out", str(out)],
+            "oracle": ["oracle", "--instance", str(bad), "--out", str(out)],
+            "sample": ["sample", str(bad), "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestTrainCommand:
     def test_missing_config_names_the_path(self, tmp_path, capsys):
         code = cli.main(

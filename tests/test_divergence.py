@@ -203,6 +203,17 @@ class TestHistogramEstimator:
         with pytest.raises(ValueError):
             dv.HistogramEstimator(np.array([[0.0, 1.0]]), 1)
 
+    def test_flat_bounds_list_is_refused_under_its_path(self):
+        """Four numbers in a row are not two pairs; the message is the field's
+        own, not NumPy's reshape error."""
+        d = {"bounds": [0, 1, 2, 3], "bins_per_dim": 8}
+        with pytest.raises(ValueError, match=r"^estimator\.bounds must be a \[d, 2\] array"):
+            from_json(dv.HistogramEstimator | None, d, "estimator")
+
+    def test_one_flat_pair_is_one_dimension(self):
+        est = from_json(dv.HistogramEstimator, {"bounds": [-1, 2], "bins_per_dim": 8})
+        assert est.bounds.tolist() == [[-1.0, 2.0]] and est.dimension == 1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_bounds_and_smoothing_rejected(self, bad):
         with pytest.raises(ValueError, match="bounds must be finite"):

@@ -451,8 +451,9 @@ class TestInstanceChecks:
 
         inst = _instance_with_parts(np.random.default_rng(7), 2)
         want = oracle.optimal_value(_fresh(inst))
-        for module, name in ((oracle, "jsd_discrete"), (divergence, "jsd_discrete"), (divergence, "_jsd_arrays")):
-            monkeypatch.setattr(module, name, refuse)
+        for module in (oracle, divergence):  # each module holds its own reference to both
+            for name in ("jsd_discrete", "_jsd_arrays"):
+                monkeypatch.setattr(module, name, refuse)
         assert oracle.optimal_value(inst) == want
 
 
