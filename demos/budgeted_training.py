@@ -21,6 +21,7 @@ from tvgan.distributions import (
     MixtureComponent,
     PointMassSlab,
     SpikeSlabNoise,
+    from_json,
 )
 from tvgan.training import (
     AdamConfig,
@@ -34,7 +35,7 @@ from tvgan.training import (
 
 def main():
     config_path = Path(__file__).parent / "configs" / "train.json"
-    config = TrainConfig.from_dict(json.loads(config_path.read_text()))
+    config = from_json(TrainConfig, json.loads(config_path.read_text()))
 
     print("== Canonical run: two Gaussians through a gamma=0.25 slab ==")
     print(f"budget delta = max part gamma = {config.delta}")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, nn
-from .distributions import GaussianMixture, MixtureComponent, Ring, dataset_spec_from_dict, sample_dataset
+from .distributions import DatasetSpec, GaussianMixture, MixtureComponent, Ring, from_json, sample_dataset, to_json
 from .divergence import DivergenceReport, HistogramEstimator, estimate_divergences
 from .oracle import CHAIN_CSV_HEADER, GameInstance, instance_checks
 from .training import TrainConfig, train
@@ -79,21 +79,46 @@ def _load_samples(path: str) -> np.ndarray:
     return data
 
 
+def _out_file(path: str | None) -> Path | None:
+    """``--out`` of a report, None for stdout, checked with stats before any
+    work: its directory must exist and it must not be one. An existing file
+    is overwritten."""
+    if not path:
+        return None
+    p = Path(path)
+    if p.is_dir():
+        raise UsageError(f"--out {p}: is a directory")
+    if not p.parent.is_dir():
+        raise UsageError(f"--out {p}: directory {p.parent} does not exist")
+    return p
+
+
+def _out_dir(path: str) -> Path:
+    """``--out`` of a run, checked with stats before any work: it and its
+    nearest existing ancestor must be directories, since ``train`` creates the
+    missing ones."""
+    p = Path(path)
+    existing = next(a for a in (p, *p.parents) if a.exists())
+    if not existing.is_dir():
+        raise UsageError(f"--out {p}: {existing} is not a directory")
+    return p
+
+
 def cmd_train(args) -> int:
     raw = _load_json(args.config)
     try:
         if args.seed is not None:
             raw = {**raw, "seed": args.seed}
-        config = TrainConfig.from_dict(raw)
+        config = from_json(TrainConfig, raw)
     except ValueError as exc:
         raise UsageError(f"{args.config}: {exc}") from exc
-    out = Path(args.out)
+    out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         tool="tvgan",
         version=__version__,
         seed=config.seed,
-        config=config.to_dict(),
+        config=to_json(config),
         started=_utc_now(),
     )
     manifest_path = out / "manifest.json"
@@ -116,6 +141,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    out = _out_file(args.out)
     raw = _load_json(args.instance)
     try:
         inst = GameInstance.from_dict(raw)
@@ -127,8 +153,8 @@ def cmd_oracle(args) -> int:
         raise UsageError(str(exc)) from exc
     lines = [CHAIN_CSV_HEADER] + [c.csv_row() for c in checks]
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+    if out:
+        out.write_text(text)
     else:
         sys.stdout.write(text)
     return 0 if all(c.holds for c in checks) else 1
@@ -178,11 +204,12 @@ _PRESETS = {
 
 
 def cmd_sample(args) -> int:
+    out = _out_file(args.out)
     try:
         if args.spec in _PRESETS:
             spec = _PRESETS[args.spec](args)
         else:
-            spec = dataset_spec_from_dict(_load_json(args.spec))
+            spec = from_json(DatasetSpec, _load_json(args.spec))
     except ValueError as exc:
         raise UsageError(f"{args.spec}: {exc}") from exc
     if args.n < 1:
@@ -192,8 +219,8 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = sample_dataset(spec, args.n, rng)
     lines = "\n".join(" ".join(repr(float(v)) for v in row) for row in rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(lines)
+    if out:
+        out.write_text(lines)
     else:
         sys.stdout.write(lines)
     return 0

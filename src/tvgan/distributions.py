@@ -686,9 +686,7 @@ def _dataclass_reader(kind):
     return read_dataclass
 
 
+# The program reads laws with ``from_json``. This stays because the benchmark
+# (perfbench/workloads.py, perfbench/setup_probe.py) parses its laws with it.
 def discrete_dist_from_dict(d: dict) -> DiscreteDist:
     return from_json(DiscreteDist, d)
-
-
-def dataset_spec_from_dict(d: dict) -> DatasetSpec:
-    return from_json(DatasetSpec, d)

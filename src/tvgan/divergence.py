@@ -17,7 +17,7 @@ from .distributions import DiscreteDist, align
 LN2 = float(np.log(2.0))
 
 # Histogram estimators are exponential in dimension; beyond 3-D they are not a
-# sensible tool and estimate_divergences refuses to run.
+# sensible tool and HistogramEstimator refuses to be built.
 MAX_ESTIMATOR_DIM = 3
 
 
@@ -75,6 +75,11 @@ class HistogramEstimator:
             raise ValueError(
                 f"bounds must be a [d, 2] array of [low, high] pairs, got shape {self.bounds.shape}"
             )
+        if self.bounds.shape[0] > MAX_ESTIMATOR_DIM:
+            raise ValueError(
+                f"histogram estimation is limited to {MAX_ESTIMATOR_DIM} dimensions, "
+                f"got {self.bounds.shape[0]}"
+            )
         if not np.isfinite(self.bounds).all():
             raise ValueError(f"bounds must be finite, got {self.bounds.tolist()}")
         if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
@@ -123,7 +128,7 @@ class DivergenceReport:
 
     tv: float
     jsd_nats: float
-    method: str  # "exact" | "histogram"
+    method: str  # "histogram"; a column of the CSV report
     n_p: int
     n_q: int
     clipped_p: int = 0
@@ -133,16 +138,6 @@ class DivergenceReport:
 
     def csv_row(self) -> str:
         return f"{self.tv!r},{self.jsd_nats!r},{self.method},{self.n_p},{self.n_q}"
-
-
-def exact_divergences(p: DiscreteDist, q: DiscreteDist) -> DivergenceReport:
-    return DivergenceReport(
-        tv=tv_discrete(p, q),
-        jsd_nats=jsd_discrete(p, q),
-        method="exact",
-        n_p=p.support.shape[0],
-        n_q=q.support.shape[0],
-    )
 
 
 def estimate_divergences(
@@ -155,11 +150,6 @@ def estimate_divergences(
         raise ValueError("sample sets must be 2-D [n, d]")
     if samples_p.shape[1] != samples_q.shape[1]:
         raise ValueError("sample sets must share one dimension")
-    if samples_p.shape[1] > MAX_ESTIMATOR_DIM:
-        raise ValueError(
-            f"histogram estimation is limited to {MAX_ESTIMATOR_DIM} dimensions, "
-            f"got {samples_p.shape[1]}"
-        )
     pv, clipped_p = est.bin_law(samples_p)
     qv, clipped_q = est.bin_law(samples_q)
     return DivergenceReport(

@@ -7,13 +7,14 @@ b0, W1, b1, ... row-major (the checkpoint blob's layout), its layers' arrays
 are views into it at offsets computed once (``_Layout``), and its gradients
 and Adam moments are plain vectors of the same layout.
 
-The backward pass has one in-place kernel, ``_backward``, that writes
-into a gradient vector its caller owns and builds no per-layer containers;
-``mlp_backward`` allocates that vector once and runs it, and ``training``'s
-objectives run it directly to sum passes into one vector and to skip work
-they discard. ``adam_step`` copies the parameter vector and both moments
-once and updates the copies in place; it is the only Adam update, so each
-training step's one copy happens there.
+The backward pass is ``mlp_backward``: it writes the parameter gradients
+into one new vector and builds no per-layer containers. Its two keywords,
+``params_grad`` and ``input_grad``, skip the part of the pass a caller
+discards: ``training``'s generator objective takes only the input gradient
+through D and only the parameter gradients of G, and the discriminator
+objective skips every input gradient. ``adam_step`` copies the parameter
+vector and both moments once and updates the copies in place; it is the
+only Adam update, so each training step's one copy happens there.
 
 ``mlp_apply`` is the forward without a backward cache. It runs a batch of
 more than ``APPLY_BLOCK_ROWS`` rows in row blocks, so its hidden activations
@@ -308,27 +309,28 @@ def _apply_block(params: MlpParams, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _backward(
+def mlp_backward(
     params: MlpParams,
     cache: ForwardCache,
     output_grad,
-    grads: np.ndarray | None,
+    *,
+    params_grad: bool = True,
     input_grad: bool = True,
-) -> np.ndarray | None:
-    """Reverse-mode kernel: exact derivatives of the forward map.
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Reverse-mode pass: exact derivatives of the forward map.
 
-    ``output_grad`` is d(loss)/d(output). Writes the parameter gradients into
-    ``grads``, a vector laid out like ``params.flat``, and returns the gradient
-    with respect to the batch input. With ``grads`` None it computes the input
-    gradient alone, skipping each layer's weight product and bias sum; with
-    ``input_grad`` False it skips the first layer's input product and
-    returns None.
+    ``output_grad`` is d(loss)/d(output); returns the parameter gradients, a
+    new vector laid out like ``params.flat``, and the gradient with respect to
+    the batch input. ``params_grad=False`` skips each layer's weight product
+    and bias sum, ``input_grad=False`` the first layer's input product; a
+    skipped part is returned as None.
     """
     output_grad = _as_f64(output_grad)
     last = len(params.layers) - 1
     if output_grad.shape != cache.posts[last].shape:
         raise ShapeMismatchError(last, cache.posts[last].shape, output_grad.shape)
     layout = params._layout
+    grads = np.empty_like(params.flat) if params_grad else None
     da = output_grad
     for i in range(last, -1, -1):
         layer = params.layers[i]
@@ -338,21 +340,7 @@ def _backward(
             np.matmul(cache.inputs[i].T, dpre, out=grads[start:mid].reshape(layout.shapes[i]))
             np.add.reduce(dpre, axis=0, out=grads[mid:end])
         da = dpre @ layer.weights.T if i or input_grad else None
-    return da
-
-
-def mlp_backward(
-    params: MlpParams, cache: ForwardCache, output_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode pass: exact derivatives of the forward map.
-
-    ``output_grad`` is d(loss)/d(output); returns the parameter gradients, a
-    new vector laid out like ``params.flat``, and the gradient with respect to
-    the batch input.
-    """
-    grads = np.empty_like(params.flat)
-    input_grad = _backward(params, cache, output_grad, grads)
-    return grads, input_grad
+    return grads, da
 
 
 # Training uses neither. Both stay because the benchmark tracer looks them up by name

@@ -128,10 +128,6 @@ class GameInstance:
         return [discrete_convolve(dist, noise) for (dist, _), noise in channels]
 
     @_kept
-    def clean_mixture(self) -> DiscreteDist:
-        return mixture(self.data_parts)
-
-    @_kept
     def noised_mixture(self) -> DiscreteDist:
         return mixture(list(zip(self.noised_parts(), self.alphas)))
 
@@ -189,6 +185,8 @@ class GameInstance:
         """JSD(noised mixture, generator)."""
         return _jsd_arrays(*self.shared_support().generator)
 
+    # These two convert the instance file's own layout (``_InstanceFile``), which
+    # differs from the instance's fields; ``from_json`` alone cannot read it.
     def to_dict(self) -> dict:
         parts = [_PartFile(dist, alpha) for dist, alpha in self.data_parts]
         return to_json(_InstanceFile(parts, self.noise_per_part, self.p_g))

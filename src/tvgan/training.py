@@ -33,7 +33,6 @@ from .distributions import (
     inject_noise,
     sample_dataset,
     sample_latent,
-    to_json,
 )
 from .divergence import HistogramEstimator, estimate_divergences
 
@@ -171,9 +170,8 @@ class TrainConfig:
         """The divergence budget realized by the channels: the largest gamma."""
         return max(p.noise.gamma for p in self.datasets)
 
-    def to_dict(self) -> dict:
-        return to_json(self)
-
+    # The program reads configs with ``from_json``. This stays because the benchmark
+    # (perfbench/workloads.py, perfbench/setup_probe.py) parses its configs with it.
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
         return from_json(TrainConfig, d)
@@ -221,21 +219,9 @@ def discriminator_objective(
     Returns (value, gradient vector laid out like ``d_params.flat``, mean
     score on real data weighted by alpha, mean score on fakes). The gradient
     is the sum of one backward pass per batch, added in pass order (real
-    batches, then the fake one); each pass after the first goes through a
-    scratch vector.
+    batches, then the fake one).
     """
-    grads, scratch = np.empty((2, d_params.flat.size))
-    passes = 0
-
-    def backprop(cache, out_grad):
-        nonlocal passes
-        if passes:
-            nn._backward(d_params, cache, out_grad, scratch, input_grad=False)
-            np.add(grads, scratch, out=grads)
-        else:
-            nn._backward(d_params, cache, out_grad, grads, input_grad=False)
-        passes += 1
-
+    grads = None
     value = mean_real = 0.0
     for alpha, batch in zip(alphas, real_batches):
         out, cache = nn.mlp_forward(d_params, batch)
@@ -243,13 +229,15 @@ def discriminator_objective(
         log_out, log_grad = _safe_log(out)
         value += alpha * _mean(log_out)
         mean_real += alpha * _mean(out)
-        backprop(cache, (alpha / n) * log_grad)
+        g, _ = nn.mlp_backward(d_params, cache, (alpha / n) * log_grad, input_grad=False)
+        grads = g if grads is None else np.add(grads, g, out=grads)
     out, cache = nn.mlp_forward(d_params, fake_batch)
     n = out.shape[0]
     log_rest, log_grad = _safe_log(1.0 - out)
     value += _mean(log_rest)
     mean_fake = _mean(out)
-    backprop(cache, -(1.0 / n) * log_grad)
+    g, _ = nn.mlp_backward(d_params, cache, -(1.0 / n) * log_grad, input_grad=False)
+    grads = g if grads is None else np.add(grads, g, out=grads)
     # alphas may arrive as a numpy vector; keep the scalar outputs plain floats
     # so downstream repr()-based serialization stays portable.
     return float(value), grads, float(mean_real), mean_fake
@@ -281,9 +269,8 @@ def generator_objective(
     else:
         raise ValueError(f"unknown generator loss {loss_kind!r}")
     score_grad = -(1.0 / n) * log_grad
-    fake_grad = nn._backward(d_params, d_cache, score_grad, None)
-    grads = np.empty_like(g_params.flat)
-    nn._backward(g_params, g_cache, fake_grad, grads, input_grad=False)
+    _, fake_grad = nn.mlp_backward(d_params, d_cache, score_grad, params_grad=False)
+    grads, _ = nn.mlp_backward(g_params, g_cache, fake_grad, input_grad=False)
     return value, grads
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tvgan import cli
-from tvgan.distributions import dataset_spec_from_dict, to_json
+from tvgan.distributions import DatasetSpec, from_json, to_json
 from tvgan.oracle import GameInstance
 from tvgan.training import TrainConfig
 
@@ -214,7 +214,7 @@ class TestTrainCommand:
         # The config echo must parse back into the identical resolved config.
         echoed = TrainConfig.from_dict(manifest["config"])
         original = TrainConfig.from_dict(json.loads(config.read_text()))
-        assert echoed.to_dict() == original.to_dict()
+        assert to_json(echoed) == to_json(original)
 
     def test_seed_override_changes_the_run(self, tmp_path, capsys):
         config = _write_config(tmp_path)
@@ -247,16 +247,15 @@ class TestTrainCommand:
 
     def test_seed_override_parses_the_config_once(self, tmp_path, monkeypatch, capsys):
         config = _write_config(tmp_path, epochs=0)
-        parse = TrainConfig.from_dict
         calls = []
-        monkeypatch.setattr(TrainConfig, "from_dict", staticmethod(lambda d: calls.append(d) or parse(d)))
+        monkeypatch.setattr(cli, "from_json", lambda kind, d: calls.append(d) or from_json(kind, d))
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(config), "--out", str(out), "--seed", "7"]) == 0
         capsys.readouterr()
         assert len(calls) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
-        want = parse({**json.loads(config.read_text()), "seed": 7}).to_dict()
+        want = to_json(from_json(TrainConfig, {**json.loads(config.read_text()), "seed": 7}))
         assert manifest["config"] == want
 
     @pytest.mark.parametrize("content", ["{}", "[1, 2]"])
@@ -277,9 +276,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "name,read,write",
         [
-            ("train.json", TrainConfig.from_dict, TrainConfig.to_dict),
+            ("train.json", TrainConfig.from_dict, to_json),
             ("oracle_instance.json", GameInstance.from_dict, GameInstance.to_dict),
-            ("sample_spec.json", dataset_spec_from_dict, to_json),
+            ("sample_spec.json", lambda raw: from_json(DatasetSpec, raw), to_json),
         ],
         ids=["train.json", "oracle_instance.json", "sample_spec.json"],
     )
@@ -375,6 +374,31 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
         assert f"config.json: {path} must be a nonempty vector, got an array of shape (1, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimator_past_three_dimensions_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        """A 4-D estimator on 4-D data is refused when the config is parsed,
+        not at the first eval: exit 2, ``estimator`` named, nothing written."""
+        component = {"mean": [0.0] * 4, "cov_diag": [0.0625] * 4, "weight": 1.0}
+        config = _write_config(
+            tmp_path,
+            datasets=[
+                {
+                    "spec": {"kind": "gaussian_mixture", "components": [component]},
+                    "alpha": 1.0,
+                    "noise": {"gamma": 0.0, "slab": {"kind": "point_mass", "offset": [0.0] * 4}},
+                }
+            ],
+            estimator={"bounds": [[-3.0, 3.0]] * 4, "bins_per_dim": 2},
+            eval_every=1,
+        )
+        runs = []
+        monkeypatch.setattr(cli, "train", lambda *a, **k: runs.append(a))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config.json: estimator" in err and "limited to 3 dimensions, got 4" in err
+        assert runs == []
         assert not out.exists()
 
 
@@ -614,6 +638,12 @@ class TestDivergenceCommand:
         captured = capsys.readouterr()
         assert "finite" in captured.err and captured.out == ""
 
+    def test_samples_past_three_dimensions_are_a_usage_error(self, tmp_path, capsys):
+        a = self._write_samples(tmp_path / "a.txt", np.random.default_rng(5).normal(size=(20, 4)))
+        assert cli.main(["divergence", str(a), str(a), "--bins", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "limited to 3 dimensions, got 4" in captured.err and captured.out == ""
+
     def test_malformed_bounds_are_a_usage_error(self, tmp_path, capsys):
         a = self._write_samples(tmp_path / "a.txt", np.zeros((5, 1)))
         assert cli.main(["divergence", str(a), str(a), "--bounds", "low-high"]) == 2
@@ -718,6 +748,64 @@ class TestSampleCommand:
         assert cli.main(["sample", "ring", "--seed", "-1", "-n", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --seed") and captured.out == ""
+
+
+class TestOutputPaths:
+    """An unusable ``--out`` is a usage error found with stats before any
+    work: exit 2, nothing computed and nothing written."""
+
+    def _no_work(self, monkeypatch):
+        work = []
+        for name in ("instance_checks", "sample_dataset", "train"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: work.append(name))
+        return work
+
+    @pytest.mark.parametrize("command", ["oracle", "sample"])
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_report_path_in_a_missing_directory_or_at_a_directory(
+        self, tmp_path, capsys, monkeypatch, command, where
+    ):
+        out = tmp_path / "missing" / "x.txt" if where == "missing-directory" else tmp_path
+        work = self._no_work(monkeypatch)
+        argv = {
+            "oracle": ["oracle", "--instance", str(_write_instance(tmp_path)), "--out", str(out)],
+            "sample": ["sample", "ring", "--out", str(out)],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --out {out}: ")
+        assert captured.out == ""
+        assert work == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("where", ["an-existing-file", "under-a-file"])
+    def test_run_directory_at_or_under_a_file(self, tmp_path, capsys, monkeypatch, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker if where == "an-existing-file" else blocker / "run"
+        config = _write_config(tmp_path)
+        work = self._no_work(monkeypatch)
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert work == []
+        assert blocker.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    def test_an_existing_report_is_overwritten(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_text("stale\n" * 100)
+        assert cli.main(["oracle", "--instance", str(_write_instance(tmp_path)), "--out", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        assert report.read_text().startswith("check,lhs,rhs,slack,holds\n")
+        assert "stale" not in report.read_text()
+
+    def test_train_creates_missing_parent_directories(self, tmp_path, capsys):
+        config = _write_config(tmp_path, epochs=0)
+        out = tmp_path / "a" / "b" / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "manifest.json").is_file()
 
 
 class TestGradcheckCommand:

@@ -3,7 +3,7 @@
 Each shipped file is read by its own loader: ``TrainConfig.from_dict`` for
 ``demos/configs/train.json`` and the benchmark's ``mixture_config``,
 ``GameInstance.from_dict`` for ``oracle_instance.json`` and
-``dataset_spec_from_dict`` for ``sample_spec.json``. A value is read as
+``from_json(DatasetSpec, ...)`` for ``sample_spec.json``. A value is read as
 written or refused with its JSON path; nothing is coerced.
 """
 
@@ -37,7 +37,7 @@ def _mixture_config() -> dict:
     return json.loads(json.dumps(module.mixture_config(11, 60)))
 
 
-TRAIN = (TrainConfig.from_dict, TrainConfig.to_dict)
+TRAIN = (TrainConfig.from_dict, dist.to_json)
 DOCUMENTS = {
     "train.json": (json.loads((CONFIGS / "train.json").read_text()), *TRAIN),
     "mixture_config": (_mixture_config(), *TRAIN),
@@ -48,7 +48,7 @@ DOCUMENTS = {
     ),
     "sample_spec.json": (
         json.loads((CONFIGS / "sample_spec.json").read_text()),
-        dist.dataset_spec_from_dict,
+        lambda raw: dist.from_json(dist.DatasetSpec, raw),
         dist.to_json,
     ),
 }

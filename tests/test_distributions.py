@@ -571,7 +571,7 @@ class TestSerialization:
         ],
     )
     def test_dataset_spec_roundtrip(self, spec):
-        again = dist.dataset_spec_from_dict(dist.to_json(spec))
+        again = dist.from_json(dist.DatasetSpec, dist.to_json(spec))
         assert dist.to_json(again) == dist.to_json(spec)
 
     def test_readers_are_built_on_first_use_and_kept(self):
@@ -591,4 +591,4 @@ class TestSerialization:
         with pytest.raises(ValueError):
             dist.from_json(dist.SlabSpec, {"kind": "banana"})
         with pytest.raises(ValueError):
-            dist.dataset_spec_from_dict({"kind": "banana"})
+            dist.from_json(dist.DatasetSpec, {"kind": "banana"})

@@ -192,9 +192,11 @@ class TestHistogramEstimator:
         np.testing.assert_allclose(edges[1], [0.0, 2.0, 4.0, 6.0, 8.0])
 
     def test_more_than_three_dimensions_rejected(self):
-        est = dv.HistogramEstimator(np.tile([-1.0, 1.0], (4, 1)), 4)
+        with pytest.raises(ValueError, match="limited to 3 dimensions, got 4"):
+            dv.HistogramEstimator(np.tile([-1.0, 1.0], (4, 1)), 4)
+        est = dv.HistogramEstimator(np.tile([-1.0, 1.0], (3, 1)), 4)
         x = np.zeros((10, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension 4, estimator expects 3"):
             dv.estimate_divergences(x, x, est)
 
     def test_invalid_bounds_rejected(self):
@@ -285,9 +287,8 @@ class TestEstimatorConsistency:
         b = dist.sample_dataset(q, 100000, rng)
         est = dv.HistogramEstimator(np.array([[-0.5, 3.5]]), bins_per_dim=4)
         report = dv.estimate_divergences(a, b, est)
-        exact = dv.exact_divergences(p, q)
-        assert abs(report.tv - exact.tv) <= 0.02
-        assert abs(report.jsd_nats - exact.jsd_nats) <= 0.02
+        assert abs(report.tv - dv.tv_discrete(p, q)) <= 0.02
+        assert abs(report.jsd_nats - dv.jsd_discrete(p, q)) <= 0.02
 
     def test_shifted_gaussians_match_quadrature(self):
         """TV(N(0,1), N(1,1)) estimated from 50k samples on 64 bins.
@@ -316,13 +317,11 @@ class TestEstimatorConsistency:
 
 
 class TestReport:
-    def test_exact_report_fields(self):
+    def test_exact_divergences_of_disjoint_point_masses(self):
         p = _law([0.0], [1.0])
         q = _law([1.0], [1.0])
-        report = dv.exact_divergences(p, q)
-        assert report.method == "exact"
-        assert (report.n_p, report.n_q) == (1, 1)
-        assert report.tv == 1.0
+        assert dv.tv_discrete(p, q) == 1.0
+        assert dv.jsd_discrete(p, q) == dv.LN2
 
     def test_csv_row_matches_header(self):
         report = dv.DivergenceReport(0.5, 0.25, "exact", 3, 4)

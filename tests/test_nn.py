@@ -437,19 +437,21 @@ class TestBackward:
         assert input_grad.tobytes() == da.tobytes()
 
     def test_kernel_input_only_and_params_only_passes_match_the_full_pass(self):
-        """The kernel's input-gradient-only pass (the generator step's pass
-        through D) and its parameter-only pass equal the full public pass,
-        bit for bit."""
+        """The input-gradient-only pass (the generator step's pass through D)
+        and the parameter-only pass return None for the part they skip and
+        equal the full pass, bit for bit, in the other."""
         rng = np.random.default_rng(71)
         for acts in (["tanh", "tanh", "sigmoid"], ["relu", "sigmoid", "identity"]):
             params = nn.init_mlp([2, 8, 8, 1], acts, rng)
             _, cache = nn.mlp_forward(params, rng.normal(size=(16, 2)))
             out_grad = rng.normal(size=(16, 1))
             grads, input_grad = nn.mlp_backward(params, cache, out_grad)
-            assert nn._backward(params, cache, out_grad, None).tobytes() == input_grad.tobytes()
-            buf = np.full_like(params.flat, np.nan)
-            assert nn._backward(params, cache, out_grad, buf, input_grad=False) is None
-            assert buf.tobytes() == grads.tobytes()
+            skipped, input_only = nn.mlp_backward(params, cache, out_grad, params_grad=False)
+            assert skipped is None
+            assert input_only.tobytes() == input_grad.tobytes()
+            params_only, skipped = nn.mlp_backward(params, cache, out_grad, input_grad=False)
+            assert skipped is None
+            assert params_only.tobytes() == grads.tobytes()
 
 
 class TestAdam:

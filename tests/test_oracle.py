@@ -501,7 +501,7 @@ class TestGameInstance:
         inst = _single_part(p, p)
         noised = inst.noised_parts()[0]
         assert noised.prob_table() == p.prob_table()
-        assert inst.noised_mixture().prob_table() == inst.clean_mixture().prob_table()
+        assert inst.noised_mixture().prob_table() == dist.mixture(inst.data_parts).prob_table()
 
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(5)

@@ -66,8 +66,10 @@ def test_install_wraps_every_name_and_uninstall_restores_every_attribute():
 
 
 def test_the_training_steps_run_through_the_traced_objectives_and_adam():
-    """Each step is its objective followed by ``nn.adam_step``, so the
-    objectives' and Adam's per-layer metrics see every step of a run."""
+    """Each step is its objective followed by ``nn.adam_step``, and each
+    objective's backward passes are ``nn.mlp_backward`` calls (one per batch
+    for D, one through D and one through G for G), so the objectives', the
+    backward pass's and Adam's per-layer metrics see every step of a run."""
     k, steps = 2, 2
     config = training.TrainConfig(
         datasets=[
@@ -95,3 +97,5 @@ def test_the_training_steps_run_through_the_traced_objectives_and_adam():
     assert spans["training.discriminator_step"] == spans["training.discriminator_objective"] == k * steps
     assert spans["training.generator_step"] == spans["training.generator_objective"] == steps
     assert spans["nn.adam_step"] == (k + 1) * steps
+    parts = len(config.datasets)
+    assert spans["nn.mlp_backward"] == (parts + 1) * k * steps + 2 * steps

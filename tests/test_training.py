@@ -16,7 +16,7 @@ import pytest
 from tvgan import distributions as dist
 from tvgan import nn
 from tvgan import training as tr
-from tvgan.distributions import from_json
+from tvgan.distributions import from_json, to_json
 from tvgan.divergence import HistogramEstimator, estimate_divergences
 
 
@@ -419,8 +419,8 @@ class TestArtifacts:
             injection_mode="per_batch",
             g_adam=tr.AdamConfig(lr=2e-4, beta1=0.5),
         )
-        again = tr.TrainConfig.from_dict(config.to_dict())
-        assert again.to_dict() == config.to_dict()
+        again = tr.TrainConfig.from_dict(to_json(config))
+        assert to_json(again) == to_json(config)
         assert again.g_adam.beta1 == 0.5
         assert again.estimator.bins_per_dim == 16
 
@@ -617,7 +617,7 @@ class TestNetworkAndEvalFieldsRejected:
     def test_adam_settings_follow_the_adam_rules(self, network, field, value):
         with pytest.raises(ValueError, match=field):
             tr.AdamConfig(**{field: value})
-        raw = _tiny_config().to_dict()
+        raw = to_json(_tiny_config())
         raw[network] = {**raw[network], field: value}
         with pytest.raises(ValueError, match=rf"^{network}\.{field} "):
             tr.TrainConfig.from_dict(raw)
@@ -638,13 +638,13 @@ class TestNetworkAndEvalFieldsRejected:
         ],
     )
     def test_whole_number_fields_are_not_truncated(self, field, value):
-        raw = _tiny_config().to_dict()
+        raw = to_json(_tiny_config())
         raw[field] = value
         with pytest.raises(ValueError, match=rf"^{field} must be a whole number"):
             tr.TrainConfig.from_dict(raw)
 
     def test_whole_floats_read_as_ints(self):
-        raw = _tiny_config().to_dict()
+        raw = to_json(_tiny_config())
         raw.update(batch_size=32.0, g_hidden=[4.0, 5])
         config = tr.TrainConfig.from_dict(raw)
         assert type(config.batch_size) is int and config.batch_size == 32
@@ -652,9 +652,9 @@ class TestNetworkAndEvalFieldsRejected:
 
     def test_omitted_fields_take_the_dataclass_defaults(self):
         config = _tiny_config()
-        raw = {"datasets": config.to_dict()["datasets"], "latent": config.to_dict()["latent"]}
-        want = tr.TrainConfig(config.datasets, config.latent).to_dict()
-        assert tr.TrainConfig.from_dict(raw).to_dict() == want
+        raw = {"datasets": to_json(config)["datasets"], "latent": to_json(config)["latent"]}
+        want = to_json(tr.TrainConfig(config.datasets, config.latent))
+        assert to_json(tr.TrainConfig.from_dict(raw)) == want
 
     def test_adam_edge_values_are_accepted(self):
         tr.AdamConfig(lr=0.0, beta1=0.0, beta2=0.0, epsilon=0.0)
@@ -663,13 +663,13 @@ class TestNetworkAndEvalFieldsRejected:
     def test_adam_numbers_are_not_coerced(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be a number"):
             from_json(tr.AdamConfig, {field: value})
-        raw = _tiny_config().to_dict()
+        raw = to_json(_tiny_config())
         raw["d_adam"] = {**raw["d_adam"], field: value}
         with pytest.raises(ValueError, match=rf"^d_adam\.{field} must be a number"):
             tr.TrainConfig.from_dict(raw)
 
     def test_estimator_errors_are_named_with_their_prefix(self):
-        raw = _tiny_config().to_dict()
+        raw = to_json(_tiny_config())
         raw["estimator"] = {"bounds": [[-1.0, 1.0], [-1.0, 1.0]], "bins_per_dim": 8.7}
         with pytest.raises(ValueError, match=r"^estimator\.bins_per_dim must be a whole number"):
             tr.TrainConfig.from_dict(raw)
@@ -677,7 +677,7 @@ class TestNetworkAndEvalFieldsRejected:
     def test_negative_seed_is_named(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0"):
             _tiny_config(seed=-1)
-        raw = _tiny_config().to_dict()
+        raw = to_json(_tiny_config())
         raw["seed"] = -1
         with pytest.raises(ValueError, match=r"^seed must be >= 0"):
             tr.TrainConfig.from_dict(raw)
