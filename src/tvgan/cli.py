@@ -19,7 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, nn
-from .distributions import DatasetSpec, GaussianMixture, MixtureComponent, Ring, from_json, sample_dataset, to_json
+from .distributions import (
+    DatasetSpec,
+    FileDataset,
+    GaussianMixture,
+    MixtureComponent,
+    Ring,
+    from_json,
+    load_samples,
+    sample_dataset,
+    to_json,
+)
 from .divergence import DivergenceReport, HistogramEstimator, estimate_divergences
 from .oracle import CHAIN_CSV_HEADER, GameInstance, instance_checks
 from .training import TrainConfig, train
@@ -64,21 +74,6 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _load_samples(path: str) -> np.ndarray:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"file not found: {p}")
-    try:
-        data = np.loadtxt(p, ndmin=2, dtype=np.float64)
-    except ValueError as exc:
-        raise UsageError(f"{p}: not a numeric sample matrix: {exc}") from exc
-    if data.size == 0:
-        raise UsageError(f"{p}: no samples")
-    if not np.isfinite(data).all():
-        raise UsageError(f"{p}: non-finite values")
-    return data
-
-
 def _out_file(path: str | None) -> Path | None:
     """``--out`` of a report, None for stdout, checked with stats before any
     work: its directory must exist and it must not be one. An existing file
@@ -109,8 +104,8 @@ def cmd_train(args) -> int:
     try:
         if args.seed is not None:
             raw = {**raw, "seed": args.seed}
-        config = from_json(TrainConfig, raw)
-    except ValueError as exc:
+        config = from_json(TrainConfig, raw)  # reads every file dataset's samples
+    except (OSError, ValueError) as exc:
         raise UsageError(f"{args.config}: {exc}") from exc
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,8 +156,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_divergence(args) -> int:
-    samples_p = _load_samples(args.samples_p)
-    samples_q = _load_samples(args.samples_q)
+    try:
+        samples_p, samples_q = load_samples(args.samples_p), load_samples(args.samples_q)
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
     if samples_p.shape[1] != samples_q.shape[1]:
         raise UsageError(
             f"dimension mismatch: {samples_p.shape[1]} vs {samples_q.shape[1]}"
@@ -210,7 +207,9 @@ def cmd_sample(args) -> int:
             spec = _PRESETS[args.spec](args)
         else:
             spec = from_json(DatasetSpec, _load_json(args.spec))
-    except ValueError as exc:
+            if isinstance(spec, FileDataset):
+                spec.load()
+    except (OSError, ValueError) as exc:
         raise UsageError(f"{args.spec}: {exc}") from exc
     if args.n < 1:
         raise UsageError("-n must be >= 1")

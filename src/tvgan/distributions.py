@@ -424,13 +424,27 @@ class FileDataset:
 
     def load(self) -> np.ndarray:
         if self._samples is None:
-            samples = np.loadtxt(self.path, ndmin=2, dtype=np.float64)
-            if samples.size == 0:
-                raise ValueError(f"dataset file {self.path} is empty")
-            if not np.isfinite(samples).all():
-                raise ValueError(f"dataset file {self.path} has non-finite values")
-            self._samples = samples
+            self._samples = load_samples(self.path)
         return self._samples
+
+
+def load_samples(path) -> np.ndarray:
+    """The [n, d] sample matrix of a text file: one sample per line, ``#`` comments.
+
+    Raises the ``OSError`` of a file that cannot be opened, and a ``ValueError``
+    naming one that is not UTF-8 or holds no row, a bad row or a non-finite value.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        if not any(line.split("#", 1)[0].strip() for line in lines):
+            raise ValueError("no samples")  # np.loadtxt would only warn
+        samples = np.loadtxt(lines, ndmin=2, dtype=np.float64)
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise ValueError(f"sample file {path}: {exc}") from exc
+    if not np.isfinite(samples).all():
+        raise ValueError(f"sample file {path}: non-finite values")
+    return samples
 
 
 DatasetSpec = Union[GaussianMixture, Ring, DiscreteDist, FileDataset]

@@ -143,21 +143,15 @@ class DivergenceReport:
 def estimate_divergences(
     samples_p: np.ndarray, samples_q: np.ndarray, est: HistogramEstimator
 ) -> DivergenceReport:
-    """Bin both sample sets on the estimator's grid and compare the binned laws."""
-    samples_p = np.asarray(samples_p, dtype=np.float64)
-    samples_q = np.asarray(samples_q, dtype=np.float64)
-    if samples_p.ndim != 2 or samples_q.ndim != 2:
-        raise ValueError("sample sets must be 2-D [n, d]")
-    if samples_p.shape[1] != samples_q.shape[1]:
-        raise ValueError("sample sets must share one dimension")
+    """Bin both sample sets on the estimator's grid (``bin_law`` checks each) and compare."""
     pv, clipped_p = est.bin_law(samples_p)
     qv, clipped_q = est.bin_law(samples_q)
     return DivergenceReport(
         tv=_tv_arrays(pv, qv),
         jsd_nats=_jsd_arrays(pv, qv),
         method="histogram",
-        n_p=samples_p.shape[0],
-        n_q=samples_q.shape[0],
+        n_p=len(samples_p),
+        n_q=len(samples_q),
         clipped_p=clipped_p,
         clipped_q=clipped_q,
     )

@@ -16,10 +16,10 @@ objective skips every input gradient. ``adam_step`` copies the parameter
 vector and both moments once and updates the copies in place; it is the
 only Adam update, so each training step's one copy happens there.
 
-``mlp_apply`` is the forward without a backward cache. It runs a batch of
-more than ``APPLY_BLOCK_ROWS`` rows in row blocks, so its hidden activations
-stay a few MB whatever the batch size; each block's output is
-``mlp_forward``'s on that block bit for bit.
+One layer loop, ``_layers``, runs both forwards. ``mlp_forward`` caches each
+layer's input and the output, and the backward pass reads each activation's
+derivative from its output. ``mlp_apply`` caches nothing and runs more than
+``APPLY_BLOCK_ROWS`` rows in row blocks, each ``mlp_forward``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -187,9 +187,8 @@ def _wrap(like: MlpParams, flat: np.ndarray) -> MlpParams:
 class ForwardCache:
     """Intermediate values from :func:`mlp_forward`, consumed by :func:`mlp_backward`."""
 
-    inputs: list[np.ndarray]  # input to each layer
-    pres: list[np.ndarray]    # pre-activation of each layer
-    posts: list[np.ndarray]   # post-activation of each layer
+    inputs: list[np.ndarray]  # input to each layer, so layer i's activation is inputs[i + 1]
+    output: np.ndarray        # the last layer's activation
 
 
 def init_mlp(sizes: Sequence[int], activations: Sequence[str], rng: np.random.Generator) -> MlpParams:
@@ -221,24 +220,24 @@ def _sigmoid(pre: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0 - LOG_EPS, out=out)
 
 
-def _activate(name: str, pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation at ``pre``; relu and tanh write into ``out`` when given."""
+def _activate(name: str, h: np.ndarray) -> np.ndarray:
+    """The activation of ``h``: relu and tanh in place, sigmoid in a new array."""
     if name == "relu":
-        return np.maximum(pre, 0.0, out=out)
+        return np.maximum(h, 0.0, out=h)
     if name == "tanh":
-        return np.tanh(pre, out=out)
+        return np.tanh(h, out=h)
     if name == "sigmoid":
-        return _sigmoid(pre)
-    return pre  # identity
+        return _sigmoid(h)
+    return h  # identity
 
 
-def _pre_grad(name: str, da: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """d(loss)/d(pre-activation): ``da`` times the activation's derivative at
-    ``pre`` (``post`` is its value there). A new array, or ``da`` itself for
-    the identity. The products are formed in place with their operands
-    swapped, which IEEE multiplication rounds the same."""
+def _pre_grad(name: str, da: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """d(loss)/d(pre-activation): ``da`` times the activation's derivative,
+    read from its output ``post`` (relu's input is > 0 exactly where ``post``
+    is). A new array, or ``da`` itself for the identity; products are formed
+    in place with operands swapped, which IEEE multiplication rounds the same."""
     if name == "relu":
-        return da * (pre > 0)  # derivative at exactly 0 is defined as 0
+        return da * (post > 0)  # derivative at exactly 0 is defined as 0
     if name == "tanh":
         grad = post * post
         np.subtract(1.0, grad, out=grad)
@@ -251,22 +250,25 @@ def _pre_grad(name: str, da: np.ndarray, pre: np.ndarray, post: np.ndarray) -> n
     return grad
 
 
-def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a batch; returns (output [n, d_out], cache for backward)."""
-    h = as_batch(x)
-    inputs, pres, posts = [], [], []
-    for i, layer in enumerate(params.layers):
-        if h.shape[1] != layer.fan_in:
-            raise ShapeMismatchError(i, (h.shape[0], layer.fan_in), h.shape)
-        inputs.append(h)
-        pre = h @ layer.weights
-        pre += layer.biases
-        pres.append(pre)
-        h = _activate(layer.activation, pre)
-        posts.append(h)
+def _layers(params: MlpParams, h: np.ndarray, inputs: list | None) -> np.ndarray:
+    """The network's output on rows ``h`` already checked against layer 0,
+    appending each layer's input to ``inputs`` unless it is None."""
+    for layer in params.layers:
+        if inputs is not None:
+            inputs.append(h)
+        h = h @ layer.weights
+        h += layer.biases
+        h = _activate(layer.activation, h)
     if not np.isfinite(h).all():
         raise NonFiniteError("forward output", layer=len(params.layers) - 1)
-    return h, ForwardCache(inputs, pres, posts)
+    return h
+
+
+def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network on a batch; returns (output [n, d_out], cache for backward)."""
+    inputs = []
+    out = _layers(params, as_batch(x, params.layers[0].fan_in), inputs)
+    return out, ForwardCache(inputs, out)
 
 
 def mlp_apply(params: MlpParams, x) -> np.ndarray:
@@ -277,36 +279,20 @@ def mlp_apply(params: MlpParams, x) -> np.ndarray:
     near-equal size, each ``mlp_forward`` of that block bit for bit, written
     into one output array; since BLAS may round a product differently at
     another row count, that can differ from the whole-batch forward in the
-    last bits. Each layer's activation runs in place on that layer's fresh
-    product (sigmoid builds its own), so hidden activations take at most two
-    blocks of a layer's width whatever the batch size. Errors are those of
-    ``mlp_forward`` on the whole batch.
+    last bits. Hidden activations take at most two blocks of a layer's width
+    whatever the batch size. Errors are those of ``mlp_forward`` on the whole
+    batch. It bypasses ``mlp_forward`` so that no tracer wrapping it runs on
+    the eval worker thread.
     """
-    h = as_batch(x)
-    n, width = h.shape
-    for i, layer in enumerate(params.layers):
-        if width != layer.fan_in:
-            raise ShapeMismatchError(i, (n, layer.fan_in), (n, width))
-        width = layer.fan_out
-    if n <= APPLY_BLOCK_ROWS:
-        out = _apply_block(params, h)
+    h = as_batch(x, params.layers[0].fan_in)
+    if len(h) <= APPLY_BLOCK_ROWS:
+        out = _layers(params, h, None)
     else:
-        out = np.empty((n, width))
-        blocks = -(-n // APPLY_BLOCK_ROWS)
+        out = np.empty((len(h), params.layers[-1].fan_out))
+        blocks = -(-len(h) // APPLY_BLOCK_ROWS)
         for src, dst in zip(np.array_split(h, blocks), np.array_split(out, blocks)):
-            dst[...] = _apply_block(params, src)
-    if not np.isfinite(out).all():
-        raise NonFiniteError("forward output", layer=len(params.layers) - 1)
+            dst[...] = _layers(params, src, None)
     return out
-
-
-def _apply_block(params: MlpParams, h: np.ndarray) -> np.ndarray:
-    """``mlp_apply``'s layer loop on rows already checked against every layer."""
-    for layer in params.layers:
-        h = h @ layer.weights
-        h += layer.biases
-        h = _activate(layer.activation, h, out=h)
-    return h
 
 
 def mlp_backward(
@@ -327,14 +313,15 @@ def mlp_backward(
     """
     output_grad = _as_f64(output_grad)
     last = len(params.layers) - 1
-    if output_grad.shape != cache.posts[last].shape:
-        raise ShapeMismatchError(last, cache.posts[last].shape, output_grad.shape)
+    if output_grad.shape != cache.output.shape:
+        raise ShapeMismatchError(last, cache.output.shape, output_grad.shape)
     layout = params._layout
     grads = np.empty_like(params.flat) if params_grad else None
     da = output_grad
     for i in range(last, -1, -1):
         layer = params.layers[i]
-        dpre = _pre_grad(layer.activation, da, cache.pres[i], cache.posts[i])
+        post = cache.inputs[i + 1] if i < last else cache.output
+        dpre = _pre_grad(layer.activation, da, post)
         if grads is not None:
             start, mid, end = layout.bounds[i]
             np.matmul(cache.inputs[i].T, dpre, out=grads[start:mid].reshape(layout.shapes[i]))
@@ -447,21 +434,24 @@ def grad_check(params: MlpParams, loss: LossFn, h: float = 1e-5) -> float:
     gradient a vector laid out like ``params.flat``; only the value is used
     for the numeric side. Returns the worst relative error
     ``|analytic - numeric| / max(1e-12, |analytic| + |numeric|)`` over all
-    parameters. Params are perturbed in place and restored before returning.
+    parameters. Params are perturbed in place and each entry is restored,
+    also when ``loss`` raises.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and > 0, got {h!r}")
     _, analytic = loss(params)
     g = _as_grad(params, analytic)
     flat = params.flat
     worst = 0.0
     for j in range(flat.size):
         orig = flat[j]
-        flat[j] = orig + h
-        plus, _ = loss(params)
-        flat[j] = orig - h
-        minus, _ = loss(params)
-        flat[j] = orig
+        try:
+            flat[j] = orig + h
+            plus, _ = loss(params)
+            flat[j] = orig - h
+            minus, _ = loss(params)
+        finally:
+            flat[j] = orig
         numeric = (plus - minus) / (2.0 * h)
         denom = max(1e-12, abs(g[j]) + abs(numeric))
         worst = max(worst, float(abs(g[j] - numeric) / denom))

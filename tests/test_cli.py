@@ -563,6 +563,63 @@ class TestOracleCommand:
         assert len(calls) == 1
 
 
+class TestSampleFiles:
+    """A sample file that cannot be read, or holds no finite matrix, is a
+    usage error naming it under every command that reads one, and is found
+    before any output is written."""
+
+    BAD = {
+        "missing": None,
+        "directory": None,
+        "empty": "",
+        "unparsable": "1 2\none two\n",
+        "non-finite": "1 2\nnan 3\n",
+    }
+
+    def _bad_file(self, tmp_path, kind):
+        path = tmp_path / f"{kind}-rows.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif self.BAD[kind] is not None:
+            path.write_text(self.BAD[kind])
+        return path
+
+    def _argv(self, tmp_path, command, rows):
+        if command == "train":
+            config = _write_config(tmp_path)
+            raw = json.loads(config.read_text())
+            raw["datasets"][0]["spec"] = {"kind": "file", "path": str(rows)}
+            config.write_text(json.dumps(raw))
+            return ["train", "--config", str(config), "--out", str(tmp_path / "run")]
+        if command == "sample":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"kind": "file", "path": str(rows)}))
+            return ["sample", str(spec), "-n", "5", "--out", str(tmp_path / "drawn.txt")]
+        good = tmp_path / "good.txt"
+        good.write_text("0 0\n1 1\n")
+        return ["divergence", str(good), str(rows)]
+
+    @pytest.mark.parametrize("kind", list(BAD))
+    @pytest.mark.parametrize("command", ["train", "sample", "divergence"])
+    def test_bad_sample_file_is_a_usage_error_naming_it(self, tmp_path, capsys, recwarn, command, kind):
+        rows = self._bad_file(tmp_path, kind)
+        assert cli.main(self._argv(tmp_path, command, rows)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and f"{kind}-rows.txt" in captured.err
+        assert captured.out == ""
+        assert [str(w.message) for w in recwarn] == []
+        assert not (tmp_path / "run").exists() and not (tmp_path / "drawn.txt").exists()
+
+    def test_a_good_sample_file_feeds_train_and_sample(self, tmp_path, capsys):
+        rows = tmp_path / "rows.txt"
+        rows.write_text("# x y\n0.5 1.5\n\n2.5 3.5  # second\n")
+        for command in ("train", "sample"):
+            assert cli.main(self._argv(tmp_path, command, rows)) == 0
+        drawn = np.loadtxt(tmp_path / "drawn.txt", ndmin=2)
+        assert {tuple(r) for r in drawn} <= {(0.5, 1.5), (2.5, 3.5)}
+        capsys.readouterr()
+
+
 class TestDivergenceCommand:
     def _write_samples(self, path, data):
         np.savetxt(path, data)

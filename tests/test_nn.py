@@ -374,8 +374,8 @@ class TestBackward:
         for layer in params.layers[:-1]:
             layer.biases += 0.25
         x = rng.normal(size=(6, 2))
-        _, cache = nn.mlp_forward(params, x)
-        assert np.min(np.abs(cache.pres[0])) > 1e-3, "test setup too close to kink"
+        pre = x @ params.layers[0].weights + params.layers[0].biases
+        assert np.min(np.abs(pre)) > 1e-3, "test setup too close to kink"
         readout = rng.normal(size=(6, 1))
         worst = nn.grad_check(params, _readout_loss(x, readout), h=1e-5)
         assert worst <= 1e-5, f"finite differences disagree: {worst:.3e}"
@@ -409,8 +409,9 @@ class TestBackward:
     )
     def test_backward_matches_the_per_layer_formulas(self, acts):
         """``dpre = da * act'(pre)``, ``dW = x.T @ dpre``, ``db = dpre.sum(0)``,
-        ``da = dpre @ W.T``, each as one new array: the in-place kernel gives
-        the same bits."""
+        ``da = dpre @ W.T``, each as one new array, with each layer's
+        ``pre = x @ W + b`` formed here: the in-place kernel, which reads the
+        derivative from the cached activations, gives the same bits."""
         rng = np.random.default_rng(70)
         params = nn.init_mlp([3, 6, 5, 2], acts, rng)
         x = rng.normal(size=(11, 3))
@@ -421,20 +422,53 @@ class TestBackward:
         out_grad = rng.normal(size=(11, 2))
         grads, input_grad = nn.mlp_backward(params, cache, out_grad)
 
+        activation = {
+            "relu": lambda pre: np.maximum(pre, 0.0),
+            "tanh": np.tanh,
+            "sigmoid": _masked_sigmoid,
+            "identity": lambda pre: pre,
+        }
         derivative = {
             "relu": lambda pre, post: (pre > 0).astype(np.float64),
             "tanh": lambda pre, post: 1.0 - post * post,
             "sigmoid": lambda pre, post: post * (1.0 - post),
             "identity": lambda pre, post: np.ones_like(pre),
         }
+        inputs, pres, posts = [], [], []
+        h = x
+        for layer in params.layers:
+            inputs.append(h)
+            pres.append(h @ layer.weights + layer.biases)
+            h = activation[layer.activation](pres[-1])
+            posts.append(h)
+        assert [a.tobytes() for a in cache.inputs + [cache.output]] == [
+            a.tobytes() for a in inputs + [h]
+        ]
         da, want = out_grad, []
         for i in range(len(params.layers) - 1, -1, -1):
             layer = params.layers[i]
-            dpre = da * derivative[layer.activation](cache.pres[i], cache.posts[i])
-            want = [cache.inputs[i].T @ dpre, dpre.sum(axis=0)] + want
+            dpre = da * derivative[layer.activation](pres[i], posts[i])
+            want = [inputs[i].T @ dpre, dpre.sum(axis=0)] + want
             da = dpre @ layer.weights.T
         assert [a.tobytes() for a in _split(params, grads)] == [a.tobytes() for a in want]
         assert input_grad.tobytes() == da.tobytes()
+
+    def test_cache_holds_only_the_activations(self):
+        """The cache of a [4, 64, 64, 1] forward at 1000 rows holds each
+        layer's activation once, n * (64 + 64 + 1) float64s, and no
+        pre-activations (2.07 MB when it kept both)."""
+        params = nn.init_mlp([4, 64, 64, 1], ["relu", "tanh", "sigmoid"], np.random.default_rng(72))
+        n = 1000
+        x = np.random.default_rng(73).normal(size=(n, 4))
+        nn.mlp_forward(params, x)  # first-call allocations are not the cache's
+        tracemalloc.start()
+        try:
+            out, cache = nn.mlp_forward(params, x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= n * (64 + 64 + 1) * 8 + 4096
+        assert cache.inputs[0] is x and cache.output is out
 
     def test_kernel_input_only_and_params_only_passes_match_the_full_pass(self):
         """The input-gradient-only pass (the generator step's pass through D)
@@ -643,6 +677,32 @@ class TestGradCheck:
 
         worst = nn.grad_check(params, bad_loss, h=1e-5)
         assert worst > 1e-2
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1e-5])
+    def test_unusable_step_is_refused_before_any_perturbation(self, h):
+        params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(5))
+        before = params.flat.tobytes()
+        x = np.random.default_rng(6).normal(size=(4, 2))
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            nn.grad_check(params, _squared_loss(x), h=h)
+        assert params.flat.tobytes() == before
+
+    def test_params_are_restored_when_the_loss_raises(self):
+        """A loss that fails mid-check leaves every parameter as it was."""
+        params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(7))
+        before = params.flat.tobytes()
+        x = np.random.default_rng(8).normal(size=(4, 2))
+        calls = []
+
+        def failing_loss(p):
+            calls.append(None)
+            if len(calls) == 5:  # the second entry's plus side
+                raise RuntimeError("loss failed")
+            return _squared_loss(x)(p)
+
+        with pytest.raises(RuntimeError, match="loss failed"):
+            nn.grad_check(params, failing_loss, h=1e-5)
+        assert params.flat.tobytes() == before
 
 
 class TestInit:

@@ -15,7 +15,7 @@ import numpy as np
 
 import tvgan.cli  # noqa: F401  (imports every module the tracer patches)
 from tvgan import distributions as dist
-from tvgan import training
+from tvgan import nn, training
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -99,3 +99,18 @@ def test_the_training_steps_run_through_the_traced_objectives_and_adam():
     assert spans["nn.adam_step"] == (k + 1) * steps
     parts = len(config.datasets)
     assert spans["nn.mlp_backward"] == (parts + 1) * k * steps + 2 * steps
+
+
+def test_mlp_apply_records_no_span():
+    """``nn.mlp_apply`` runs on the eval worker thread, and the tracer keeps
+    one span stack per process, so it must reach the layer loop without
+    passing through a traced name, in one block or in several."""
+    params = nn.init_mlp([2, 8, 1], ["tanh", "sigmoid"], np.random.default_rng(0))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for rows in (16, 2 * nn.APPLY_BLOCK_ROWS + 1):
+            nn.mlp_apply(params, np.zeros((rows, 2)))
+    finally:
+        tracer.uninstall()
+    assert tracer.name == []
