@@ -180,7 +180,8 @@ def cmd_divergence(args) -> int:
         stacked = np.vstack([samples_p, samples_q])
         low = stacked.min(axis=0)
         high = stacked.max(axis=0)
-        pad = np.maximum(1e-9, 1e-9 * np.abs(high - low))
+        # relative to the magnitude, like MERGE_RTOL: an absolute pad rounds away above ~1.6e7
+        pad = 1e-9 * np.maximum(1.0, np.maximum(np.abs(low), np.abs(high)))
         bounds = np.column_stack([low - pad, high + pad])
     try:
         est = HistogramEstimator(bounds, args.bins, args.smoothing)

@@ -19,6 +19,9 @@ LN2 = float(np.log(2.0))
 # Histogram estimators are exponential in dimension; beyond 3-D they are not a
 # sensible tool and HistogramEstimator refuses to be built.
 MAX_ESTIMATOR_DIM = 3
+# The grid holds bins_per_dim ** d counts per law; 2**24 of them is 128 MiB of
+# float64, so a grid that cannot be allocated is refused when it is built.
+MAX_ESTIMATOR_BINS = 2**24
 
 
 def _tv_arrays(pv: np.ndarray, qv: np.ndarray) -> float:
@@ -86,6 +89,12 @@ class HistogramEstimator:
             raise ValueError("bounds need low < high in each dimension")
         if self.bins_per_dim < 2:
             raise ValueError("bins_per_dim must be >= 2")
+        bins = int(self.bins_per_dim) ** self.dimension
+        if bins > MAX_ESTIMATOR_BINS:
+            raise ValueError(
+                f"bins_per_dim {self.bins_per_dim} in {self.dimension} dimensions makes {bins} bins, "
+                f"more than the limit of {MAX_ESTIMATOR_BINS}"
+            )
         if not (np.isfinite(self.smoothing) and self.smoothing >= 0):
             raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing!r}")
 

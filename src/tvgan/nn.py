@@ -18,8 +18,9 @@ only Adam update, so each training step's one copy happens there.
 
 One layer loop, ``_layers``, runs both forwards. ``mlp_forward`` caches each
 layer's input and the output, and the backward pass reads each activation's
-derivative from its output. ``mlp_apply`` caches nothing and runs more than
-``APPLY_BLOCK_ROWS`` rows in row blocks, each ``mlp_forward``'s bit for bit.
+derivative from its output. ``mlp_apply`` caches nothing and runs a batch in
+row blocks sized so that each hidden activation of the widest layer fits in
+``APPLY_BLOCK_BYTES``, each block ``mlp_forward``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -39,9 +40,12 @@ ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 # the adversarial losses stay finite even when the discriminator saturates.
 LOG_EPS = 1e-12
 
-# ``mlp_apply`` runs larger batches in row blocks of at most this many rows,
-# so an eval's hidden activations stay a few MB whatever ``eval_samples`` is.
-APPLY_BLOCK_ROWS = 4096
+# ``mlp_apply`` runs a batch in row blocks whose widest layer output takes at
+# most this many bytes, so an eval's hidden activations stay in cache whatever
+# ``eval_samples`` is. Timed alone on one BLAS thread of a 2-CPU VM, 256 KiB
+# and 512 KiB matched at widths 32 to 256; 128 KiB lost 15 % at width 64 and
+# 1 MiB all of the gain at width 32.
+APPLY_BLOCK_BYTES = 1 << 18
 
 
 class ShapeMismatchError(ValueError):
@@ -274,22 +278,25 @@ def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, ForwardCache]:
 def mlp_apply(params: MlpParams, x) -> np.ndarray:
     """The network's output on a batch, with no backward cache.
 
-    Up to ``APPLY_BLOCK_ROWS`` rows this is ``mlp_forward(params, x)[0]`` bit
-    for bit. A larger batch runs in ceil(n / APPLY_BLOCK_ROWS) blocks of
-    near-equal size, each ``mlp_forward`` of that block bit for bit, written
-    into one output array; since BLAS may round a product differently at
-    another row count, that can differ from the whole-batch forward in the
-    last bits. Hidden activations take at most two blocks of a layer's width
-    whatever the batch size. Errors are those of ``mlp_forward`` on the whole
-    batch. It bypasses ``mlp_forward`` so that no tracer wrapping it runs on
-    the eval worker thread.
+    A block holds at most ``max(1, APPLY_BLOCK_BYTES // (8 * widest fan_out))``
+    rows. A batch that fits in one block is ``mlp_forward(params, x)[0]`` bit
+    for bit. A larger batch runs in the fewest near-equal blocks of that size
+    (``np.array_split``), each ``mlp_forward`` of that block bit for bit,
+    written into one output array; since BLAS may round a product differently
+    at another row count, that can differ from the whole-batch forward in the
+    last bits. With relu, tanh or identity hidden layers the hidden
+    activations take at most two blocks, ``2 * APPLY_BLOCK_BYTES``, whatever
+    the batch size. Errors are those of ``mlp_forward`` on the whole batch.
+    It bypasses ``mlp_forward`` so that no tracer wrapping it runs on the
+    eval worker thread.
     """
     h = as_batch(x, params.layers[0].fan_in)
-    if len(h) <= APPLY_BLOCK_ROWS:
+    rows = max(1, APPLY_BLOCK_BYTES // (8 * max(layer.fan_out for layer in params.layers)))
+    if len(h) <= rows:
         out = _layers(params, h, None)
     else:
         out = np.empty((len(h), params.layers[-1].fan_out))
-        blocks = -(-len(h) // APPLY_BLOCK_ROWS)
+        blocks = -(-len(h) // rows)
         for src, dst in zip(np.array_split(h, blocks), np.array_split(out, blocks)):
             dst[...] = _layers(params, src, None)
     return out

@@ -402,6 +402,22 @@ class TestTrainCommand:
         assert not out.exists()
 
 
+    def test_estimator_grid_past_the_bin_limit_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        """A grid too large to allocate is refused when the config is parsed,
+        not at the first eval: exit 2, the bin count named, nothing written."""
+        config = _write_config(
+            tmp_path, estimator={"bounds": [[-3.0, 3.0], [-3.0, 3.0]], "bins_per_dim": 100000}
+        )
+        runs = []
+        monkeypatch.setattr(cli, "train", lambda *a, **k: runs.append(a))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config.json: estimator.bins_per_dim 100000 in 2 dimensions makes 10000000000 bins" in err
+        assert runs == []
+        assert not out.exists()
+
+
 class TestOracleCommand:
     def test_matched_zero_noise_instance_passes_all_checks(self, tmp_path, capsys):
         inst = _write_instance(tmp_path)
@@ -654,6 +670,23 @@ class TestDivergenceCommand:
         assert cli.main(["divergence", str(a), str(b), "--bins", "8"]) == 0
         tv = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[0])
         assert tv < 0.2
+
+    @pytest.mark.parametrize("value", [0.0, 1e9, 1e15, -1e15])
+    def test_auto_bounds_keep_a_constant_column_at_any_magnitude(self, tmp_path, capsys, value):
+        """The automatic pad scales with the coordinates' magnitude, so a
+        constant column still gets low < high where an absolute 1e-9 rounds away."""
+        a = self._write_samples(tmp_path / "a.txt", np.array([[value, 0.0], [value, 1.0]]))
+        b = self._write_samples(tmp_path / "b.txt", np.array([[value, 0.0], [value, 0.0]]))
+        assert cli.main(["divergence", str(a), str(b), "--bins", "2"]) == 0
+        tv = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[0])
+        assert tv == pytest.approx(0.5, abs=1e-6)
+
+    def test_grid_past_the_bin_limit_is_a_usage_error(self, tmp_path, capsys):
+        """100 000 bins a side in 2-D is refused before any grid is allocated."""
+        a = self._write_samples(tmp_path / "a.txt", np.random.default_rng(6).normal(size=(20, 2)))
+        assert cli.main(["divergence", str(a), str(a), "--bins", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert "makes 10000000000 bins" in captured.err and captured.out == ""
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         a = self._write_samples(tmp_path / "a.txt", np.zeros((5, 1)))

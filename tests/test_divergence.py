@@ -199,6 +199,19 @@ class TestHistogramEstimator:
         with pytest.raises(ValueError, match="dimension 4, estimator expects 3"):
             dv.estimate_divergences(x, x, est)
 
+    @pytest.mark.parametrize(
+        "bins, dim", [(2**24, 1), (2**12, 2), (2**8, 3)], ids=["1d", "2d", "3d"]
+    )
+    def test_grid_past_the_bin_limit_is_refused_when_built(self, bins, dim):
+        """``bins_per_dim ** d`` up to ``MAX_ESTIMATOR_BINS`` is accepted; one
+        bin per dimension more is refused, naming the count. Only built: no
+        grid is ever allocated."""
+        bounds = np.tile([-1.0, 1.0], (dim, 1))
+        assert bins**dim == dv.MAX_ESTIMATOR_BINS
+        assert dv.HistogramEstimator(bounds, bins).bins_per_dim == bins
+        with pytest.raises(ValueError, match=rf"^bins_per_dim {bins + 1} in {dim} dimensions makes {(bins + 1) ** dim} bins"):
+            dv.HistogramEstimator(bounds, bins + 1)
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             dv.HistogramEstimator(np.array([[1.0, -1.0]]), 8)

@@ -227,10 +227,11 @@ class TestApply:
                 assert got.tobytes() == want.tobytes()
                 assert x.tobytes() == before
 
-    # Past APPLY_BLOCK_ROWS rows the batch runs in blocks: 2 * 4096 + 1 rows
-    # make three blocks of 2731, so no block is a one-row remainder.
-    BLOCKED_ROWS = 2 * nn.APPLY_BLOCK_ROWS + 1
+    # A block holds APPLY_BLOCK_BYTES of the widest layer's output, 512 rows at
+    # width 64: 2 * 512 + 1 rows make three blocks of 342, 342 and 341, so no
+    # block is a one-row remainder.
     BLOCKED_SIZES = [4, 64, 64, 2]
+    BLOCKED_ROWS = 2 * (nn.APPLY_BLOCK_BYTES // (8 * 64)) + 1
     # Against the whole-batch forward only the summation order of a product
     # may differ: a relative error of at most fan_in * eps per layer, summed
     # over the layers, taken relative to the largest output.
@@ -247,7 +248,7 @@ class TestApply:
             got = nn.mlp_apply(params, x)
             assert x.tobytes() == before
             blocks = [nn.mlp_forward(params, block)[0] for block in np.array_split(x, 3)]
-            assert [len(b) for b in blocks] == [2731] * 3
+            assert [len(b) for b in blocks] == [342, 342, 341]
             want = np.vstack(blocks)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -283,6 +284,66 @@ class TestApply:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @staticmethod
+    def _block_rows(width):
+        """The derived rule: the most rows whose width-``width`` output fits the budget."""
+        return max(1, nn.APPLY_BLOCK_BYTES // (8 * width))
+
+    @pytest.mark.parametrize("width", [32, 64, 256])
+    def test_blocks_are_budget_sized_forwards(self, width):
+        """20 000 rows run as the fewest near-equal blocks of at most
+        ``_block_rows(width)`` rows, each ``mlp_forward`` of that block."""
+        rng = np.random.default_rng(width)
+        params = nn.init_mlp([4, width, width, 2], ["tanh", "tanh", "identity"], rng)
+        params.flat += rng.normal(scale=0.1, size=params.flat.size)  # non-zero biases
+        x = rng.normal(size=(20000, 4))
+        rows = self._block_rows(width)
+        blocks = np.array_split(x, -(-len(x) // rows))
+        assert max(len(b) for b in blocks) <= rows < 20000
+        want = np.vstack([nn.mlp_forward(params, b)[0] for b in blocks])
+        assert nn.mlp_apply(params, x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "sizes, rows",
+        [([4, 32, 32, 2], 128), ([2, 32, 32, 1], 128), ([4, 64, 64, 2], 512), ([2, 64, 64, 1], 512)],
+        ids=["g-128x32", "d-128x32", "g-512x64", "d-512x64"],
+    )
+    def test_batch_within_the_budget_is_one_forward(self, monkeypatch, sizes, rows):
+        """The discriminator step's fake batches (128 rows at width 32, 512 at
+        width 64) run as one layer loop; one row past the budget makes two."""
+        rng = np.random.default_rng(rows)
+        params = nn.init_mlp(sizes, ["tanh", "tanh", "identity"], rng)
+        calls = []
+        layers = nn._layers
+        monkeypatch.setattr(nn, "_layers", lambda p, h, i: calls.append(len(h)) or layers(p, h, i))
+        x = rng.normal(size=(rows, sizes[0]))
+        assert nn.mlp_apply(params, x).tobytes() == nn.mlp_forward(params, x)[0].tobytes()
+        assert calls == [rows, rows]  # mlp_apply's one block, then mlp_forward
+        calls.clear()
+        fit = self._block_rows(max(sizes[1:]))
+        nn.mlp_apply(params, rng.normal(size=(fit, sizes[0])))
+        nn.mlp_apply(params, rng.normal(size=(fit + 1, sizes[0])))
+        assert calls == [fit, fit // 2 + 1, fit // 2]
+
+    # Fixed before the first run: room for the loop's small arrays (the last
+    # layer's block output and its finiteness mask) and Python objects.
+    APPLY_SLACK = 64 * 2**10
+
+    @pytest.mark.parametrize("width", [64, 256])
+    def test_apply_memory_is_the_output_and_two_blocks(self, width):
+        """A 20 000-row forward allocates its output and at most two blocks of
+        the widest layer's activations at a time."""
+        params = nn.init_mlp([4, width, width, 2], ["tanh", "tanh", "identity"], np.random.default_rng(9))
+        x = np.random.default_rng(10).normal(size=(20000, 4))
+        nn.mlp_apply(params, x)  # first-call allocations are not the forward's
+        tracemalloc.start()
+        try:
+            out = nn.mlp_apply(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * nn.APPLY_BLOCK_BYTES + self.APPLY_SLACK
 
     @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
     def test_bad_width_raises_like_forward(self, sizes):

@@ -109,7 +109,7 @@ def test_mlp_apply_records_no_span():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for rows in (16, 2 * nn.APPLY_BLOCK_ROWS + 1):
+        for rows in (16, 2 * (nn.APPLY_BLOCK_BYTES // (8 * 8)) + 1):  # one block, then three
             nn.mlp_apply(params, np.zeros((rows, 2)))
     finally:
         tracer.uninstall()
