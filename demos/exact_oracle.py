@@ -9,13 +9,23 @@ Run:  python3 demos/exact_oracle.py
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from tvgan.distributions import DiscreteDist, PointMassSlab, SpikeSlabNoise
+from tvgan.distributions import DiscreteDist, PointMassSlab, SpikeSlabNoise, discrete_convolve, mixture
 from tvgan.divergence import jsd_discrete
-from tvgan.oracle import LOG4, GameInstance, grid_minimize, mixture_chain_check, optimal_discriminator, optimal_value
+from tvgan.oracle import (
+    LOG4,
+    VALUE_TOL,
+    GameInstance,
+    game_value,
+    grid_minimize,
+    mixture_chain_check,
+    optimal_discriminator,
+    optimal_value,
+)
 
 
 def law(support, probs):
@@ -32,13 +42,21 @@ def main():
     )
 
     print("== Best discriminator is the likelihood ratio a / (a + b) ==")
-    for point, score in sorted(optimal_discriminator(inst).items()):
-        print(f"  D*({point[0]:g}) = {score:.6f}")
+    support, d_star = optimal_discriminator(inst)
+    for point, score in zip(support[:, 0], d_star):
+        print(f"  D*({point:g}) = {score:.6f}")
 
     value = optimal_value(inst)
-    identity = -LOG4 + 2.0 * jsd_discrete(inst.noised_mixture(), p_g)
+    channels = zip(inst.data_parts, inst.noise_per_part)
+    noised = mixture([(discrete_convolve(p, noise), a) for (p, a), noise in channels])
+    identity = -LOG4 + 2.0 * jsd_discrete(noised, p_g)
     print(f"inner-max value: {value:.12f}")
     print(f"-log4 + 2*JSD:   {identity:.12f}  (match to {abs(value - identity):.1e})")
+    best = game_value(inst, d_star)
+    print(f"value of D*:     {best:.12f}  (match to {abs(best - value):.1e})")
+    if abs(best - value) > VALUE_TOL:
+        print(f"the value of D* is more than {VALUE_TOL:g} from the inner-max value", file=sys.stderr)
+        return 1
 
     print()
     print("== Brute-force enumeration finds p_g = p_data at the floor -log 4 ==")
@@ -56,7 +74,8 @@ def main():
     for ineq in report.inequalities:
         print(f"  {ineq.name:<{width}}  {ineq.lhs:>10.6f} <= {ineq.rhs:<10.6f}  {ineq.holds}")
     print(f"all inequalities hold: {report.all_hold}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -149,9 +149,6 @@ class DiscreteDist:
         """Built on the first draw, so laws that are never sampled pay nothing."""
         return _categorical_cdf(self.probs)
 
-    def prob_table(self) -> dict[tuple, float]:
-        return dict(zip(map(tuple, self.support.tolist()), self.probs.tolist()))
-
 
 def _law(rows: np.ndarray, weights: np.ndarray) -> DiscreteDist:
     """Weighted rows as a law, merged, zero masses dropped; unvalidated: its atoms are distinct."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, islice
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,12 +22,10 @@ from .distributions import (
     DiscreteDist,
     SpikeSlabNoise,
     UnsupportedSlabError,
-    align,
     canonicalize,
     channel_rows,
     discrete_convolve,
     from_json,
-    mixture,
     slab_atoms,
     to_json,
 )
@@ -90,7 +88,7 @@ class SharedSupport:
 class GameInstance:
     """Weighted data parts, their noise channels, and a candidate generator law.
 
-    Noised parts, mixtures and shared divergences are computed once: do not mutate an instance.
+    The shared support and shared divergences are computed once: do not mutate an instance.
     Every channel must have a finite-support slab of the data's dimension.
     """
 
@@ -120,16 +118,6 @@ class GameInstance:
                 raise ValueError(
                     f"noise[{l}]: slab dimension {noise.dimension} differs from the data dimension {dim}"
                 )
-
-    @_kept
-    def noised_parts(self) -> list[DiscreteDist]:
-        """Each data part pushed through its channel, computed exactly."""
-        channels = zip(self.data_parts, self.noise_per_part)
-        return [discrete_convolve(dist, noise) for (dist, _), noise in channels]
-
-    @_kept
-    def noised_mixture(self) -> DiscreteDist:
-        return mixture(list(zip(self.noised_parts(), self.alphas)))
 
     @_kept
     def shared_support(self) -> SharedSupport:
@@ -217,28 +205,38 @@ def _xlog_share(x: np.ndarray, total: np.ndarray) -> np.ndarray:
     return x * np.log(np.divide(x, total, out=np.ones_like(total), where=x > 0))
 
 
-def optimal_discriminator(inst: GameInstance) -> dict[tuple, float]:
-    """Best-response discriminator: noised-data mass over total mass, per point.
-
-    Points carrying neither data nor generator mass are absent from the map;
-    they contribute nothing to the game value.
-    """
-    support, a, b = align(inst.noised_mixture(), inst.p_g)
+def _with_mass(inst: GameInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shared-support atoms with noised-mixture or generator mass, and both masses there."""
+    s = inst.shared_support()
+    a, b = s.noised_mixture.mass, s.p_g.mass
     keep = a + b > 0
-    return dict(zip(map(tuple, support[keep].tolist()), (a[keep] / (a + b)[keep]).tolist()))
+    return keep, a[keep], b[keep]
 
 
-def game_value(inst: GameInstance, discriminator: Mapping[tuple, float]) -> float:
-    """Adversarial objective of a given discriminator table.
+def optimal_discriminator(inst: GameInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Best-response discriminator: ``(support [K, d], d_star [K])``, noised-data mass
+    over total mass on the atoms of ``shared_support`` that carry either, in its order.
+    """
+    keep, a, b = _with_mass(inst)
+    return inst.shared_support().support[keep], a / (a + b)
+
+
+def game_value(inst: GameInstance, scores: np.ndarray) -> float:
+    """Adversarial objective of a discriminator given by its ``[K]`` scores on
+    ``optimal_discriminator``'s support, in that order.
 
     ``E_mix[log D] + E_gen[log(1 - D)]`` with D clamped into (0, 1) so the
-    value stays finite for saturated tables. The table must cover every point
-    that carries mass, keyed like ``optimal_discriminator``.
+    value stays finite for saturated scores. Scores of another length or with a
+    non-finite entry are refused.
     """
-    support, a, b = align(inst.noised_mixture(), inst.p_g)
-    keep = a + b > 0
-    a, b = a[keep], b[keep]
-    d = np.clip([discriminator[k] for k in map(tuple, support[keep].tolist())], _CLIP, 1.0 - _CLIP)
+    _, a, b = _with_mass(inst)
+    d = np.asarray(scores, dtype=np.float64)
+    if d.shape != a.shape or not np.isfinite(d).all():
+        raise ValueError(
+            f"scores must be {a.size} finite numbers, one per atom of optimal_discriminator's "
+            f"support; got {d.size} of shape {d.shape}, {np.isfinite(d).sum()} finite"
+        )
+    d = np.clip(d, _CLIP, 1.0 - _CLIP)
     return float(np.sum(a[a > 0] * np.log(d[a > 0])) + np.sum(b[b > 0] * np.log(1.0 - d[b > 0])))
 
 

@@ -356,16 +356,18 @@ class TrainResult:
 
 
 class _Eval:
-    """One histogram eval in flight: the clean sample is drawn, and the
-    generator forward ``nn.mlp_apply(g_params, z)`` runs on a worker thread.
+    """One histogram eval in flight: it draws the clean sample, then the latent
+    batch ``z``, and runs the generator forward ``nn.mlp_apply(g_params, z)`` on
+    a worker thread, which keeps ``z`` only until the forward returns.
 
     The thread runs nothing else: the estimator stays on the calling thread,
     where its Python-heavy binning does not contend with training for the GIL.
     ``g_params`` is not copied; the pure steps never change it afterwards.
     """
 
-    def __init__(self, index: int, data: np.ndarray, g_params: nn.MlpParams, z: np.ndarray):
-        self.index, self.data = index, data
+    def __init__(self, index: int, config: TrainConfig, g_params: nn.MlpParams, rng: np.random.Generator):
+        self.index, self.data = index, sample_clean_mixture(config, config.eval_samples, rng)
+        z = sample_latent(config.latent, config.eval_samples, rng)
         self._fake = self._error = None
         self.thread = threading.Thread(target=self._forward, args=(g_params, z), name="tvgan-eval")
         self.thread.start()
@@ -433,9 +435,8 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
                 if config.estimator is not None and step % config.eval_every == 0:
                     if pending is not None:
                         pending.finish(metrics, config.estimator)
-                    data = sample_clean_mixture(config, config.eval_samples, rng)
-                    z = sample_latent(config.latent, config.eval_samples, rng)
-                    pending = _Eval(len(metrics) - 1, data, g_params, z)
+                        pending = None  # its samples are freed before the next draws
+                    pending = _Eval(len(metrics) - 1, config, g_params, rng)
         if pending is not None:
             pending.finish(metrics, config.estimator)
     finally:

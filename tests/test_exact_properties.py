@@ -156,6 +156,21 @@ def test_instance_checks_equal_the_pairwise_primitives_byte_for_byte(inst):
     assert rows == _rows_from_the_primitives(inst)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(game_instances())
+def test_best_response_on_the_shared_support_equals_the_pairwise_ratio(inst):
+    """On lattice laws the best response's atoms are those of ``align`` of the noised
+    mixture and p_g, with the same ratios, and its game value is the optimal value."""
+    noised = [dist.discrete_convolve(p, n) for (p, _), n in zip(inst.data_parts, inst.noise_per_part)]
+    points, a, b = dist.align(dist.mixture(list(zip(noised, inst.alphas))), inst.p_g)
+    keep = a + b > 0
+    support, d_star = oracle.optimal_discriminator(inst)
+    assert support.shape == points[keep].shape
+    np.testing.assert_allclose(support, points[keep], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(d_star, a[keep] / (a + b)[keep], rtol=0, atol=1e-12)
+    assert abs(oracle.game_value(inst, d_star) - oracle.optimal_value(inst)) <= 1e-9
+
+
 def _clusters_before(values, rtol):
     """``distributions._clusters`` as it was before the distinct-points check, kept as a reference."""
     order = values.argsort(kind="stable")

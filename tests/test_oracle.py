@@ -65,17 +65,27 @@ def _random_instance(rng, max_parts=3):
     return _instance_with_parts(rng, int(rng.integers(1, max_parts + 1)))
 
 
+def _noised_mixture(inst):
+    """The noised mixture built apart from the instance, with ``discrete_convolve`` and ``mixture``."""
+    channels = zip(inst.data_parts, inst.noise_per_part)
+    return dist.mixture([(dist.discrete_convolve(p, noise), a) for (p, a), noise in channels])
+
+
+def _table(support, values):
+    """Each support point as a tuple, mapped to its value."""
+    return dict(zip(map(tuple, support.tolist()), values.tolist()))
+
+
 class TestOptimalDiscriminator:
     def test_matched_laws_give_half_everywhere(self):
         p = _law([0.0, 1.0], [0.5, 0.5])
         inst = _single_part(p, p)
-        d_star = oracle.optimal_discriminator(inst)
-        assert set(d_star) == {(0.0,), (1.0,)}
-        assert all(v == 0.5 for v in d_star.values())
+        d_star = _table(*oracle.optimal_discriminator(inst))
+        assert d_star == {(0.0,): 0.5, (1.0,): 0.5}
 
     def test_disjoint_laws_saturate(self):
         inst = _single_part(_law([0.0], [1.0]), _law([5.0], [1.0]))
-        d_star = oracle.optimal_discriminator(inst)
+        d_star = _table(*oracle.optimal_discriminator(inst))
         assert d_star[(0.0,)] == 1.0
         assert d_star[(5.0,)] == 0.0
 
@@ -84,7 +94,7 @@ class TestOptimalDiscriminator:
         inst = _single_part(
             _law([0.0, 1.0], [0.6, 0.4]), _law([0.0, 1.0], [0.2, 0.8])
         )
-        d_star = oracle.optimal_discriminator(inst)
+        d_star = _table(*oracle.optimal_discriminator(inst))
         assert d_star[(0.0,)] == pytest.approx(0.6 / 0.8, abs=1e-12)
         assert d_star[(1.0,)] == pytest.approx(0.4 / 1.2, abs=1e-12)
 
@@ -92,9 +102,32 @@ class TestOptimalDiscriminator:
         """The ratio uses the noised data law, not the clean one."""
         noise = dist.SpikeSlabNoise(0.3, dist.PointMassSlab(np.array([1.0])))
         inst = _single_part(_law([0.0], [1.0]), _law([0.0], [1.0]), noise)
-        d_star = oracle.optimal_discriminator(inst)
+        d_star = _table(*oracle.optimal_discriminator(inst))
         assert d_star[(0.0,)] == pytest.approx(0.7 / 1.7, abs=1e-12)
         assert d_star[(1.0,)] == 1.0
+
+    def test_atoms_are_the_shared_support_atoms_with_mass(self):
+        """A clean atom that the channel empties and a zero-probability generator atom
+        carry no mass and are left out; the rest keep the shared support's order."""
+        noise = dist.SpikeSlabNoise(1.0, dist.PointMassSlab(np.array([-1.0])))
+        inst = _single_part(_law([0.0, 3.0], [0.5, 0.5]), _law([-1.0, 2.0, 7.0], [0.5, 0.5, 0.0]), noise)
+        support, d_star = oracle.optimal_discriminator(inst)
+        assert inst.shared_support().support[:, 0].tolist() == [-1.0, 0.0, 2.0, 3.0, 7.0]
+        assert support.tolist() == [[-1.0], [2.0]]
+        assert d_star.tolist() == [0.5, 0.5]
+
+    def test_a_chain_through_the_clean_atom_is_one_atom_at_half(self):
+        """A clean atom at 0, a gamma = 1 shift of -0.8e-12 and p_g at +0.8e-12 are one atom
+        of the shared support, which every report row reads: the generator JSD is 0. Aligned
+        as a pair, without the clean atom, the noised atom and p_g's are two atoms 1.6e-12
+        apart, with D* 1 and 0 and a value of -2e-12 instead of -log 4."""
+        noise = dist.SpikeSlabNoise(1.0, dist.PointMassSlab(np.array([-0.8e-12])))
+        inst = _single_part(_law([0.0], [1.0]), _law([0.8e-12], [1.0]), noise)
+        support, d_star = oracle.optimal_discriminator(inst)
+        assert support.tolist() == [[0.0]] and d_star.tolist() == [0.5]
+        assert inst.generator_jsd() == 0.0
+        assert oracle.optimal_value(inst) == pytest.approx(-oracle.LOG4, abs=1e-12)
+        assert abs(oracle.game_value(inst, d_star) - oracle.optimal_value(inst)) <= oracle.VALUE_TOL
 
 
 class TestGameValue:
@@ -103,42 +136,43 @@ class TestGameValue:
         rng = np.random.default_rng(0)
         for _ in range(10):
             inst = _random_instance(rng)
-            keys = set(inst.noised_mixture().prob_table()) | set(
-                inst.p_g.prob_table()
-            )
-            half = {k: 0.5 for k in keys}
+            _, d_star = oracle.optimal_discriminator(inst)
+            half = np.full(d_star.size, 0.5)
             assert oracle.game_value(inst, half) == pytest.approx(
                 -oracle.LOG4, abs=1e-12
             )
 
-    def test_missing_table_entry_raises(self):
+    @pytest.mark.parametrize(
+        "scores",
+        [[0.9], [0.9, 0.1, 0.5], [[0.9], [0.1]], [0.9, np.nan], [np.inf, 0.1]],
+        ids=["short", "long", "column", "nan", "inf"],
+    )
+    def test_scores_of_another_length_or_not_finite_are_refused(self, scores):
         inst = _single_part(_law([0.0], [1.0]), _law([1.0], [1.0]))
-        with pytest.raises(KeyError):
-            oracle.game_value(inst, {(0.0,): 0.9})
+        size = np.asarray(scores).size
+        with pytest.raises(ValueError, match=rf"must be 2 finite numbers.*got {size}\b"):
+            oracle.game_value(inst, scores)
 
     def test_best_response_beats_perturbed_tables(self):
         """No perturbation of the ratio discriminator improves the value:
-        50 random instances x 20 jittered tables."""
+        50 random instances x 20 jittered score vectors."""
         rng = np.random.default_rng(9)
         for trial in range(50):
             inst = _random_instance(rng)
-            d_star = oracle.optimal_discriminator(inst)
+            _, d_star = oracle.optimal_discriminator(inst)
             v_star = oracle.game_value(inst, d_star)
             for _ in range(20):
-                jittered = {
-                    k: float(np.clip(v + rng.normal(0.0, 0.2), 1e-6, 1.0 - 1e-6))
-                    for k, v in d_star.items()
-                }
+                jittered = np.clip(d_star + rng.normal(0.0, 0.2, d_star.size), 1e-6, 1.0 - 1e-6)
                 v = oracle.game_value(inst, jittered)
                 assert v <= v_star + 1e-12, (
-                    f"trial {trial}: jittered table scored {v} > best {v_star}"
+                    f"trial {trial}: jittered scores scored {v} > best {v_star}"
                 )
 
     def test_best_response_value_matches_closed_form(self):
         rng = np.random.default_rng(10)
         for _ in range(25):
             inst = _random_instance(rng)
-            d_star = oracle.optimal_discriminator(inst)
+            _, d_star = oracle.optimal_discriminator(inst)
             assert oracle.game_value(inst, d_star) == pytest.approx(
                 oracle.optimal_value(inst), abs=1e-9
             )
@@ -169,7 +203,7 @@ class TestOptimalValue:
         for trial in range(100):
             inst = _random_instance(rng)
             lhs = oracle.optimal_value(inst)
-            rhs = -oracle.LOG4 + 2.0 * jsd_discrete(inst.noised_mixture(), inst.p_g)
+            rhs = -oracle.LOG4 + 2.0 * jsd_discrete(_noised_mixture(inst), inst.p_g)
             assert lhs == pytest.approx(rhs, abs=1e-9), f"trial {trial}"
 
     def test_value_never_below_minus_log4(self):
@@ -397,7 +431,7 @@ class TestInstanceChecks:
             again = _fresh(inst)
             gap = abs(
                 oracle.optimal_value(again)
-                - (-oracle.LOG4 + 2.0 * jsd_discrete(again.noised_mixture(), again.p_g))
+                - (-oracle.LOG4 + 2.0 * jsd_discrete(_noised_mixture(again), again.p_g))
             )
             want.append(oracle.Inequality("value_identity", gap, oracle.VALUE_TOL, gap <= oracle.VALUE_TOL))
             want += oracle.mixture_chain_check(_fresh(inst), delta).inequalities
@@ -496,12 +530,13 @@ class TestGameInstance:
         with pytest.raises(error, match=message):
             oracle.GameInstance(data_parts=[(p, 0.5), (p, 0.5)], noise_per_part=noise, p_g=p)
 
-    def test_zero_gamma_noised_parts_equal_clean_parts(self):
+    def test_zero_gamma_noised_masses_equal_clean_masses(self):
         p = _law([0.0, 2.0], [0.25, 0.75])
         inst = _single_part(p, p)
-        noised = inst.noised_parts()[0]
-        assert noised.prob_table() == p.prob_table()
-        assert inst.noised_mixture().prob_table() == dist.mixture(inst.data_parts).prob_table()
+        s = inst.shared_support()
+        assert s.support.tolist() == [[0.0], [2.0]]
+        assert s.noised[0].mass.tolist() == s.clean[0].mass.tolist() == [0.25, 0.75]
+        assert s.noised_mixture.mass.tolist() == s.clean_mixture.mass.tolist() == [0.25, 0.75]
 
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(5)

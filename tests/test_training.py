@@ -8,6 +8,7 @@ gating, determinism, artifact layout) is pinned with tiny seeded runs.
 
 import csv
 import threading
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -877,6 +878,34 @@ class TestOverlappedEval:
         assert running == [threads + 1]
         assert threading.active_count() == threads
 
+    def test_the_previous_eval_is_freed_before_the_next_draws(self, monkeypatch):
+        """At each eval's first draw, the clean sample, latent batch and generator output
+        of the eval before it are no longer referenced."""
+        config = self._config()
+        sample, latent, apply = tr.sample_clean_mixture, tr.sample_latent, nn.mlp_apply
+        previous, alive = [], []
+
+        def kept(f):
+            def draw(*args):
+                out = f(*args)
+                if out.shape[0] == config.eval_samples:
+                    previous.append(weakref.ref(out))
+                return out
+
+            return draw
+
+        def clean(config_, n, rng):
+            if n == config.eval_samples:
+                alive.append([ref() is not None for ref in previous])
+                previous.clear()
+            return kept(sample)(config_, n, rng)
+
+        monkeypatch.setattr(tr, "sample_clean_mixture", clean)
+        monkeypatch.setattr(tr, "sample_latent", kept(latent))
+        monkeypatch.setattr(nn, "mlp_apply", kept(apply))
+        tr.train(config)
+        assert alive == [[], [False] * 3, [False] * 3]
+
 
 class TestGeneratorObjectiveBackward:
     @pytest.mark.parametrize("kind", ["minimax", "non_saturating"])
@@ -950,18 +979,17 @@ class TestDiscriminatorClosure:
         g_params.layers[-1].weights[:] = 0.0  # G(z) = 1 for every z
         g_params.layers[-1].biases[:] = 1.0
         d_state = nn.init_adam(d_params, **asdict(config.d_adam))
-        optimal = oracle.optimal_discriminator(inst)
-        atoms = np.array(list(optimal))
-        total = np.zeros(len(atoms))
+        support, d_star = oracle.optimal_discriminator(inst)
+        total = np.zeros(len(d_star))
         for step in range(self.STEPS):
             d_params, d_state, _ = tr.discriminator_step(d_params, d_state, g_params, config, rng)
             if step >= self.STEPS // 2:
-                total += nn.mlp_apply(d_params, atoms)[:, 0]
-        averaged = dict(zip(optimal, (total / (self.STEPS - self.STEPS // 2)).tolist()))
+                total += nn.mlp_apply(d_params, support)[:, 0]
+        averaged = total / (self.STEPS - self.STEPS // 2)
 
-        gated = {atom: d for atom, d in optimal.items() if 0.05 <= d <= 0.95}
-        assert list(gated) == [(1.0,)] and gated[(1.0,)] == pytest.approx(0.388 / 1.388, abs=1e-12)
-        for atom, d_star in gated.items():
-            assert abs(averaged[atom] - d_star) <= self.D_TOL, (atom, averaged[atom], d_star)
+        gated = (0.05 <= d_star) & (d_star <= 0.95)
+        assert support[gated].tolist() == [[1.0]] and d_star[gated].tolist() == pytest.approx([0.388 / 1.388], abs=1e-12)
+        for atom, d, d_opt in zip(support[gated].tolist(), averaged[gated], d_star[gated]):
+            assert abs(d - d_opt) <= self.D_TOL, (atom, d, d_opt)
         gap = oracle.optimal_value(inst) - oracle.game_value(inst, averaged)
         assert 0.0 <= gap <= self.GAP_TOL
