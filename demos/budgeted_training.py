@@ -16,16 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from tvgan.distributions import (
+    DatasetPart,
     GaussianMixture,
     LatentPrior,
     MixtureComponent,
     PointMassSlab,
     SpikeSlabNoise,
+    budget,
     from_json,
 )
 from tvgan.training import (
     AdamConfig,
-    DatasetPart,
     TrainConfig,
     evaluate_budget,
     generator_sample,
@@ -38,7 +39,7 @@ def main():
     config = from_json(TrainConfig, json.loads(config_path.read_text()))
 
     print("== Canonical run: two Gaussians through a gamma=0.25 slab ==")
-    print(f"budget delta = max part gamma = {config.delta}")
+    print(f"budget delta = max part gamma = {budget(config.datasets)}")
     result = train(config)
     logged = [m for m in result.metrics if m.tv_estimate is not None]
     print(f"{'step':>6}  {'d_loss':>9}  {'g_loss':>9}  {'TV est':>8}  {'JSD est':>8}")

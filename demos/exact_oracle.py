@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tvgan.distributions import DiscreteDist, PointMassSlab, SpikeSlabNoise, discrete_convolve, mixture
+from tvgan.distributions import DatasetPart, DiscreteDist, PointMassSlab, SpikeSlabNoise, discrete_convolve, mixture
 from tvgan.divergence import jsd_discrete
 from tvgan.oracle import (
     LOG4,
@@ -35,11 +35,7 @@ def law(support, probs):
 def main():
     p_data = law([0.0, 1.0, 2.0], [0.5, 0.3, 0.2])
     p_g = law([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
-    inst = GameInstance(
-        data_parts=[(p_data, 1.0)],
-        noise_per_part=[SpikeSlabNoise(0.0, PointMassSlab([1.0]))],
-        p_g=p_g,
-    )
+    inst = GameInstance([DatasetPart(p_data, 1.0, SpikeSlabNoise(0.0, PointMassSlab([1.0])))], p_g)
 
     print("== Best discriminator is the likelihood ratio a / (a + b) ==")
     support, d_star = optimal_discriminator(inst)
@@ -47,8 +43,7 @@ def main():
         print(f"  D*({point:g}) = {score:.6f}")
 
     value = optimal_value(inst)
-    channels = zip(inst.data_parts, inst.noise_per_part)
-    noised = mixture([(discrete_convolve(p, noise), a) for (p, a), noise in channels])
+    noised = mixture([(discrete_convolve(part.spec, part.noise), part.alpha) for part in inst.parts])
     identity = -LOG4 + 2.0 * jsd_discrete(noised, p_g)
     print(f"inner-max value: {value:.12f}")
     print(f"-log4 + 2*JSD:   {identity:.12f}  (match to {abs(value - identity):.1e})")

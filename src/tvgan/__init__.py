@@ -15,6 +15,7 @@ Three layers, verifiable bottom to top:
 __version__ = "0.1.0"
 
 from .distributions import (
+    DatasetPart,
     DirichletSlab,
     DiscreteDist,
     FileDataset,
@@ -68,7 +69,6 @@ from .oracle import (
 from .training import (
     AdamConfig,
     BudgetReport,
-    DatasetPart,
     MetricsRecord,
     TrainConfig,
     TrainResult,

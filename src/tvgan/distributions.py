@@ -170,7 +170,7 @@ def align(p: DiscreteDist, q: DiscreteDist) -> tuple[np.ndarray, np.ndarray, np.
 def mixture(parts: list[tuple[DiscreteDist, float]]) -> DiscreteDist:
     """Weighted mixture of finite-support distributions, coincident atoms merged."""
     weights = np.array([w for _, w in parts], dtype=np.float64)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > PROB_TOL:
+    if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= PROB_TOL):  # also refuses nan
         raise ValueError("mixture weights must be nonnegative and sum to 1")
     rows = np.vstack([dist.support for dist, _ in parts])
     return _law(rows, np.concatenate([w * dist.probs for dist, w in parts]))
@@ -189,6 +189,10 @@ class GaussianSlab:
         self.std = _vector("std", self.std)
         if np.any(self.std <= 0):
             raise ValueError(f"std must be positive, got {self.std.tolist()}")
+
+    @property
+    def dimension(self) -> int:
+        return self.std.shape[0]
 
 
 @dataclass
@@ -211,20 +215,12 @@ class PointMassSlab:
     def __post_init__(self):
         self.offset = _vector("offset", self.offset)
 
+    @property
+    def dimension(self) -> int:
+        return self.offset.shape[0]
+
 
 SlabSpec = Union[GaussianSlab, DirichletSlab, PointMassSlab, DiscreteDist]
-
-
-def slab_dimension(slab: SlabSpec) -> int:
-    if isinstance(slab, GaussianSlab):
-        return slab.std.shape[0]
-    if isinstance(slab, DirichletSlab):
-        return slab.dimension
-    if isinstance(slab, PointMassSlab):
-        return slab.offset.shape[0]
-    if isinstance(slab, DiscreteDist):
-        return slab.dimension
-    raise TypeError(f"not a slab spec: {type(slab).__name__}")
 
 
 def slab_atoms(slab: SlabSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -265,10 +261,6 @@ class SpikeSlabNoise:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
-    @property
-    def dimension(self) -> int:
-        return slab_dimension(self.slab)
-
 
 def sample_spike_slab(
     noise: SpikeSlabNoise, n: int, rng: np.random.Generator
@@ -280,7 +272,7 @@ def sample_spike_slab(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = noise.dimension
+    d = noise.slab.dimension
     mask = rng.random(n) < noise.gamma
     z = np.zeros((n, d))
     hits = int(mask.sum())
@@ -307,10 +299,8 @@ def inject_noise(
     if batch.ndim != 2:
         raise ValueError("batch must be 2-D [n, d]")
     n, d = batch.shape
-    if noise.dimension != d:
-        raise ValueError(
-            f"slab dimension {noise.dimension} does not match batch width {d}"
-        )
+    if noise.slab.dimension != d:
+        raise ValueError(f"slab dimension {noise.slab.dimension} does not match batch width {d}")
     if rng is None:
         raise ValueError("an explicit rng is required")
     if mode == "per_sample":
@@ -384,7 +374,7 @@ class GaussianMixture:
         if not self.components:
             raise ValueError("mixture needs at least one component")
         weights = np.array([c.weight for c in self.components])
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > PROB_TOL:
+        if not ((weights > 0).all() and abs(weights.sum() - 1.0) <= PROB_TOL):  # also refuses nan
             raise ValueError("the weights of components must be positive and sum to 1")
         dims = {c.mean.shape[0] for c in self.components}
         if len(dims) != 1:
@@ -479,6 +469,46 @@ def sample_dataset(spec: DatasetSpec, n: int, rng: np.random.Generator) -> np.nd
         rows = spec.load()
         return rows[rng.integers(0, rows.shape[0], size=n)]
     raise TypeError(f"not a dataset spec: {type(spec).__name__}")
+
+
+@dataclass
+class DatasetPart:
+    """One part of the data: its law, its mixture weight and its noise channel."""
+
+    spec: DatasetSpec
+    alpha: float
+    noise: SpikeSlabNoise
+
+
+def check_parts(parts: list[DatasetPart], name: str, noise: str, exact: bool = False) -> int:
+    """The dimension of one or more ``parts`` whose alphas are positive and sum to 1 and whose
+    specs and channels share it; ``exact`` parts are ``DiscreteDist``s behind finite-support slabs.
+    Else a ``ValueError`` names the list ``name``, a part ``name[l]`` or a channel ``noise.format(l)``."""
+    if not parts:
+        raise ValueError(f"{name} needs at least one part")
+    alphas = np.array([part.alpha for part in parts], dtype=np.float64)
+    if not ((alphas > 0).all() and abs(alphas.sum() - 1.0) <= PROB_TOL):  # also refuses nan
+        raise ValueError(f"the alphas of {name} must be positive and sum to 1, got {alphas.tolist()}")
+    dims = {dataset_dimension(part.spec) for part in parts}
+    if len(dims) != 1:
+        raise ValueError(f"the parts of {name} must share one dimension, got {sorted(dims)}")
+    (dim,) = dims
+    for l, part in enumerate(parts):
+        if exact:
+            if not isinstance(part.spec, DiscreteDist):
+                raise ValueError(f"{name}[{l}].spec: {type(part.spec).__name__} has no finite support")
+            try:
+                slab_atoms(part.noise.slab)
+            except UnsupportedSlabError as exc:
+                raise UnsupportedSlabError(f"{noise.format(l)}.slab: {exc}") from None
+        if (d := part.noise.slab.dimension) != dim:
+            raise ValueError(f"{noise.format(l)}: slab dimension {d} differs from the data dimension {dim}")
+    return dim
+
+
+def budget(parts: list[DatasetPart]) -> float:
+    """The divergence budget the channels realize: the largest gamma."""
+    return max(part.noise.gamma for part in parts)
 
 
 @dataclass

@@ -12,21 +12,23 @@ against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, combinations, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import (
+    DatasetPart,
     DiscreteDist,
+    FileDataset,
     SpikeSlabNoise,
-    UnsupportedSlabError,
+    budget,
     canonicalize,
     channel_rows,
+    check_parts,
     discrete_convolve,
     from_json,
-    slab_atoms,
     to_json,
 )
 from .divergence import _jsd_arrays, _tv_arrays
@@ -88,36 +90,31 @@ class SharedSupport:
 class GameInstance:
     """Weighted data parts, their noise channels, and a candidate generator law.
 
+    The parts are exact (``check_parts``): discrete laws behind finite-support slabs.
     The shared support and shared divergences are computed once: do not mutate an instance.
-    Every channel must have a finite-support slab of the data's dimension.
     """
 
-    data_parts: list[tuple[DiscreteDist, float]]  # (distribution, alpha)
-    noise_per_part: list[SpikeSlabNoise]
+    parts: list[DatasetPart]
     p_g: DiscreteDist
-    alphas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.data_parts:
-            raise ValueError("need at least one data part")
-        if len(self.data_parts) != len(self.noise_per_part):
-            raise ValueError("one noise channel per data part is required")
-        self.alphas = alphas = np.array([a for _, a in self.data_parts], dtype=np.float64)
-        if np.any(alphas <= 0) or abs(alphas.sum() - 1.0) > 1e-12:
-            raise ValueError("the alphas of data_parts must be positive and sum to 1")
-        dims = {dist.dimension for dist, _ in self.data_parts} | {self.p_g.dimension}
-        if len(dims) != 1:
-            raise ValueError("all distributions must share one dimension")
-        (dim,) = dims
-        for l, noise in enumerate(self.noise_per_part):
-            try:
-                slab_atoms(noise.slab)
-            except UnsupportedSlabError as exc:
-                raise UnsupportedSlabError(f"noise[{l}].slab: {exc}") from None
-            if noise.dimension != dim:
-                raise ValueError(
-                    f"noise[{l}]: slab dimension {noise.dimension} differs from the data dimension {dim}"
-                )
+        dim = check_parts(self.parts, "data_parts", "noise[{}]", exact=True)  # the file's names
+        if self.p_g.dimension != dim:
+            raise ValueError(f"p_g: dimension {self.p_g.dimension} differs from the data dimension {dim}")
+
+    @staticmethod
+    def of_config(config, p_g: DiscreteDist) -> "GameInstance":
+        """A ``TrainConfig``'s exact instance against ``p_g``: a ``FileDataset`` part is read as
+        its empirical law, rows merged by ``canonicalize``; any spec but that and a
+        ``DiscreteDist``, or a continuous slab, is refused by its path in the config."""
+        parts = []
+        for part in config.datasets:
+            if isinstance(part.spec, FileDataset):
+                support, inverse = canonicalize(part.spec.load())
+                part = replace(part, spec=DiscreteDist(support, np.bincount(inverse) / inverse.size))
+            parts.append(part)
+        check_parts(parts, "datasets", "datasets[{}].noise", exact=True)
+        return GameInstance(parts, p_g)
 
     @_kept
     def shared_support(self) -> SharedSupport:
@@ -130,9 +127,9 @@ class GameInstance:
         checks thus see the same atoms: a single-linkage chain through one law's
         atom merges atoms for every pair of laws, not only the pair it sits in.
         """
-        clean = [dist for dist, _ in self.data_parts]
-        channels = [channel_rows(dist, noise) for dist, noise in zip(clean, self.noise_per_part)]
-        blocks = [(d.support, d.probs) for d in clean] + channels + [(self.p_g.support, self.p_g.probs)]
+        clean = [(part.spec.support, part.spec.probs) for part in self.parts]
+        channels = [channel_rows(part.spec, part.noise) for part in self.parts]
+        blocks = clean + channels + [(self.p_g.support, self.p_g.probs)]
         support, inverse = canonicalize(np.concatenate([rows for rows, _ in blocks]))
         k = support.shape[0]
         bounds = [0, *accumulate(w.size for _, w in blocks)]
@@ -141,9 +138,9 @@ class GameInstance:
         parts = len(clean)
         on_input = [np.bincount(i, minlength=k) > 0 for i in atoms[:parts] + atoms[-1:]]
         clean_mix, noised_mix = np.zeros(k), np.zeros(k)
-        for alpha, c, n in zip(self.alphas, masses[:parts], masses[parts:-1]):
-            clean_mix += alpha * c
-            noised_mix += alpha * n
+        for part, c, n in zip(self.parts, masses[:parts], masses[parts:-1]):
+            clean_mix += part.alpha * c
+            noised_mix += part.alpha * n
         p_g = Masses(masses[-1], on_input[-1])
         clean_mixture, noised_mixture = Masses(clean_mix, clean_mix > 0), Masses(noised_mix, noised_mix > 0)
         return SharedSupport(
@@ -176,13 +173,15 @@ class GameInstance:
     # These two convert the instance file's own layout (``_InstanceFile``), which
     # differs from the instance's fields; ``from_json`` alone cannot read it.
     def to_dict(self) -> dict:
-        parts = [_PartFile(dist, alpha) for dist, alpha in self.data_parts]
-        return to_json(_InstanceFile(parts, self.noise_per_part, self.p_g))
+        data_parts = [_PartFile(part.spec, part.alpha) for part in self.parts]
+        return to_json(_InstanceFile(data_parts, [part.noise for part in self.parts], self.p_g))
 
     @staticmethod
     def from_dict(d: dict) -> "GameInstance":
         f = from_json(_InstanceFile, d)
-        return GameInstance([(p.dist, p.alpha) for p in f.data_parts], f.noise, f.p_g)
+        if len(f.data_parts) != len(f.noise):
+            raise ValueError("one noise channel per data part is required")
+        return GameInstance([DatasetPart(p.dist, p.alpha, n) for p, n in zip(f.data_parts, f.noise)], f.p_g)
 
 
 @dataclass
@@ -349,8 +348,8 @@ def channel_bound_check(p_x: DiscreteDist, noise: SpikeSlabNoise) -> Inequality:
 def _check_delta(inst: GameInstance, delta: float) -> None:
     if not 0.0 <= delta <= 1.0:  # also refuses nan
         raise ValueError(f"delta must be a finite number in [0, 1], got {delta}")
-    gammas = [n.gamma for n in inst.noise_per_part]
-    if any(g > delta + INEQ_TOL for g in gammas):
+    if budget(inst.parts) > delta + INEQ_TOL:
+        gammas = [part.noise.gamma for part in inst.parts]
         raise ValueError(f"every channel gamma must be <= delta={delta}, got {gammas}")
 
 
@@ -367,7 +366,7 @@ def mixture_chain_check(inst: GameInstance, delta: float) -> ChainReport:
     checks = [_ineq(f"part{l}_tv_budget", tv, delta) for l, tv in enumerate(part_tvs)]
     s = inst.shared_support()
     tv_mix = _tv_arrays(*s.mixtures)
-    weighted = float(np.dot(inst.alphas, part_tvs))
+    weighted = float(np.dot([part.alpha for part in inst.parts], part_tvs))
     checks.append(_ineq("mixture_tv_concavity", tv_mix, weighted))
     checks.append(_ineq("weighted_tv_budget", weighted, delta))
     checks.append(_ineq("jsd_le_tv", inst.mixture_jsd(), tv_mix))
@@ -388,12 +387,12 @@ def instance_checks(
     if which not in ("all", "channel", "value", "chain"):
         raise ValueError(f"unknown check family {which!r}")
     if delta is None:
-        delta = max(n.gamma for n in inst.noise_per_part)
+        delta = budget(inst.parts)
     _check_delta(inst, delta)
     checks: list[Inequality] = []
     if which in ("channel", "all"):
-        for l, (tv, noise) in enumerate(zip(inst.part_tvs(), inst.noise_per_part)):
-            checks.append(_ineq(f"part{l}_channel_tv", tv, noise.gamma))
+        for l, (tv, part) in enumerate(zip(inst.part_tvs(), inst.parts)):
+            checks.append(_ineq(f"part{l}_channel_tv", tv, part.noise.gamma))
     if which in ("value", "all"):
         gap = abs(optimal_value(inst) - (-LOG4 + 2.0 * inst.generator_jsd()))
         checks.append(_ineq("value_identity", gap, VALUE_TOL, tol=0.0))

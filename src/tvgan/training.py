@@ -23,11 +23,12 @@ import numpy as np
 
 from . import nn
 from .distributions import (
-    DatasetSpec,
+    DatasetPart,
     LatentPrior,
-    SpikeSlabNoise,
     _categorical_cdf,
     _draw_categorical,
+    budget,
+    check_parts,
     dataset_dimension,
     from_json,
     inject_noise,
@@ -73,15 +74,6 @@ class AdamConfig:
 
 
 @dataclass
-class DatasetPart:
-    """One training dataset with its mixture weight and noise channel."""
-
-    spec: DatasetSpec
-    alpha: float
-    noise: SpikeSlabNoise
-
-
-@dataclass
 class TrainConfig:
     """Every knob of the training procedure; one seed drives all randomness."""
 
@@ -105,21 +97,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.datasets:
-            raise ValueError("config needs at least one dataset")
-        alphas = np.array([p.alpha for p in self.datasets])
-        if np.any(alphas <= 0) or abs(alphas.sum() - 1.0) > 1e-12:
-            raise ValueError("the alphas of datasets must be positive and sum to 1")
-        dims = {dataset_dimension(p.spec) for p in self.datasets}
-        if len(dims) != 1:
-            raise ValueError("all datasets must share one sample dimension")
-        (dim,) = dims
-        for i, part in enumerate(self.datasets):
-            if part.noise.dimension != dim:
-                raise ValueError(
-                    f"datasets[{i}].noise: dimension {part.noise.dimension} does not "
-                    f"match sample dimension {dim}"
-                )
+        dim = check_parts(self.datasets, "datasets", "datasets[{}].noise")
         for name in ("g_hidden", "d_hidden"):
             widths = getattr(self, name)
             if any(w < 1 for w in widths):
@@ -158,17 +136,8 @@ class TrainConfig:
         return dataset_dimension(self.datasets[0].spec)
 
     @property
-    def alphas(self) -> np.ndarray:
-        return np.array([p.alpha for p in self.datasets])
-
-    @property
     def steps_per_epoch(self) -> int:
         return math.ceil(self.total_samples_n / self.batch_size)
-
-    @property
-    def delta(self) -> float:
-        """The divergence budget realized by the channels: the largest gamma."""
-        return max(p.noise.gamma for p in self.datasets)
 
     # The program reads configs with ``from_json``. This stays because the benchmark
     # (perfbench/workloads.py, perfbench/setup_probe.py) parses its configs with it.
@@ -301,7 +270,8 @@ def discriminator_step(
         real_batches.append(noised)
     z = sample_latent(config.latent, config.batch_size, rng)
     fake = nn.mlp_apply(g_params, z)
-    value, grads, mean_real, mean_fake = discriminator_objective(d_params, real_batches, config.alphas, fake)
+    alphas = [part.alpha for part in config.datasets]
+    value, grads, mean_real, mean_fake = discriminator_objective(d_params, real_batches, alphas, fake)
     if not np.isfinite(value):
         raise nn.NonFiniteError("discriminator objective")
     d_params, d_state = nn.adam_step(d_params, grads, d_state, "ascend")
@@ -331,7 +301,7 @@ def generator_step(
 
 def sample_clean_mixture(config: TrainConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw from the alpha-weighted mixture of the clean (un-noised) datasets."""
-    which = _draw_categorical(_categorical_cdf(config.alphas), n, rng)
+    which = _draw_categorical(_categorical_cdf(np.array([part.alpha for part in config.datasets])), n, rng)
     out = np.zeros((n, config.data_dim))
     for l, part in enumerate(config.datasets):
         rows = which == l
@@ -528,7 +498,7 @@ def evaluate_budget(
     data = sample_clean_mixture(config, n_eval, rng)
     fake = generator_sample(g_params, config.latent, n_eval, rng)
     report = estimate_divergences(data, fake, config.estimator)
-    delta = config.delta
+    delta = budget(config.datasets)
     return BudgetReport(
         tv_estimate=report.tv,
         jsd_estimate=report.jsd_nats,

@@ -50,10 +50,10 @@ def _random_noise(rng):
 def _random_instance(rng, max_parts=3):
     parts = int(rng.integers(1, max_parts + 1))
     alphas = rng.dirichlet(np.ones(parts) * 5.0)
+    laws = [_random_law(rng) for _ in alphas]
+    noise = [_random_noise(rng) for _ in alphas]
     return oracle.GameInstance(
-        data_parts=[(_random_law(rng), float(a)) for a in alphas],
-        noise_per_part=[_random_noise(rng) for _ in range(parts)],
-        p_g=_random_law(rng),
+        [dist.DatasetPart(law, float(a), n) for law, a, n in zip(laws, alphas, noise)], _random_law(rng)
     )
 
 
@@ -162,8 +162,7 @@ def test_criterion_3_game_value_identity():
     for _ in range(100):
         inst = _random_instance(rng)
         direct = oracle.optimal_value(inst)
-        channels = zip(inst.data_parts, inst.noise_per_part)
-        noised = dist.mixture([(dist.discrete_convolve(p, noise), a) for (p, a), noise in channels])
+        noised = dist.mixture([(dist.discrete_convolve(part.spec, part.noise), part.alpha) for part in inst.parts])
         via_jsd = -oracle.LOG4 + 2.0 * jsd_discrete(noised, inst.p_g)
         worst = max(worst, abs(direct - via_jsd))
     ok = worst <= 1e-9
@@ -184,7 +183,7 @@ def test_criterion_4_mixture_chain_of_divergence_bounds():
     most_negative_slack = np.inf
     for _ in range(100):
         inst = _random_instance(rng)
-        delta = max(n.gamma for n in inst.noise_per_part)
+        delta = dist.budget(inst.parts)
         report = oracle.mixture_chain_check(inst, delta)
         all_hold = all_hold and report.all_hold
         all_hold = all_hold and required <= {c.name for c in report.inequalities}

@@ -5,6 +5,7 @@ every (input atom, channel atom) pair written out in the test module, so
 the library code and the oracle never share a code path.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from tvgan import distributions as dist
+from tvgan import oracle, training
 from tvgan.divergence import jsd_discrete, tv_discrete
 
 
@@ -596,3 +598,28 @@ class TestSerialization:
             dist.from_json(dist.SlabSpec, {"kind": "banana"})
         with pytest.raises(ValueError):
             dist.from_json(dist.DatasetSpec, {"kind": "banana"})
+
+
+def _two_parts(weight):
+    law = dist.DiscreteDist(np.array([[0.0]]), np.array([1.0]))
+    noise = dist.SpikeSlabNoise(0.0, dist.PointMassSlab(np.array([1.0])))
+    return [dist.DatasetPart(law, weight, noise), dist.DatasetPart(law, 0.5, noise)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda w: dist.mixture([(part.spec, part.alpha) for part in _two_parts(w)]),
+        lambda w: dist.GaussianMixture(
+            [dist.MixtureComponent([0.0], [1.0], w), dist.MixtureComponent([1.0], [1.0], 0.5)]
+        ),
+        lambda w: oracle.GameInstance(_two_parts(w), _two_parts(w)[0].spec),
+        lambda w: training.TrainConfig(datasets=_two_parts(w), latent=dist.LatentPrior(1)),
+    ],
+    ids=["mixture", "gaussian-mixture", "game-instance", "train-config"],
+)
+def test_a_nan_weight_is_refused(build):
+    """NaN fails every comparison, so each weight check is written to pass only on good
+    weights: a NaN weight beside 0.5 is refused as JSON already refuses it."""
+    with pytest.raises(ValueError, match="sum to 1"):
+        build(math.nan)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvgan import distributions as dist
-from tvgan import oracle
+from tvgan import oracle, training
 from tvgan.divergence import jsd_discrete, tv_discrete
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -117,18 +117,18 @@ def game_instances(draw):
         else:
             slab = draw(lattice_laws(dim, scale))
         noise.append(dist.SpikeSlabNoise(gamma, slab))
-    data = [(draw(lattice_laws(dim, scale)), float(a)) for a in raw / raw.sum()]
-    return oracle.GameInstance(data, noise, draw(lattice_laws(dim, scale)))
+    data = [dist.DatasetPart(draw(lattice_laws(dim, scale)), float(a), n) for a, n in zip(raw / raw.sum(), noise)]
+    return oracle.GameInstance(data, draw(lattice_laws(dim, scale)))
 
 
 def _rows_from_the_primitives(inst):
     """``instance_checks(inst, "all")`` recomputed pair by pair with ``discrete_convolve``,
     ``mixture``, ``align``, ``tv_discrete`` and ``jsd_discrete``."""
-    clean = [p for p, _ in inst.data_parts]
-    alphas = [a for _, a in inst.data_parts]
-    noised = [dist.discrete_convolve(p, n) for p, n in zip(clean, inst.noise_per_part)]
-    c_mix, n_mix = dist.mixture(inst.data_parts), dist.mixture(list(zip(noised, inst.alphas)))
-    delta = max(n.gamma for n in inst.noise_per_part)
+    clean = [part.spec for part in inst.parts]
+    alphas = [part.alpha for part in inst.parts]
+    noised = [dist.discrete_convolve(part.spec, part.noise) for part in inst.parts]
+    c_mix, n_mix = dist.mixture(list(zip(clean, alphas))), dist.mixture(list(zip(noised, alphas)))
+    delta = max(part.noise.gamma for part in inst.parts)
     part_tvs = [tv_discrete(p, q) for p, q in zip(clean, noised)]
     _, a, b = dist.align(n_mix, inst.p_g)
     total = a + b
@@ -136,7 +136,7 @@ def _rows_from_the_primitives(inst):
     value = float(np.sum(xlog[0]) + np.sum(xlog[1]))
     tv_mix = tv_discrete(c_mix, n_mix)
     weighted = float(np.dot(alphas, part_tvs))
-    rows = [(f"part{l}_channel_tv", tv, n.gamma) for l, (tv, n) in enumerate(zip(part_tvs, inst.noise_per_part))]
+    rows = [(f"part{l}_channel_tv", tv, part.noise.gamma) for l, (tv, part) in enumerate(zip(part_tvs, inst.parts))]
     rows.append(("value_identity", abs(value - (-oracle.LOG4 + 2.0 * jsd_discrete(n_mix, inst.p_g))), oracle.VALUE_TOL))
     rows += [(f"part{l}_tv_budget", tv, delta) for l, tv in enumerate(part_tvs)]
     rows.append(("mixture_tv_concavity", tv_mix, weighted))
@@ -161,8 +161,8 @@ def test_instance_checks_equal_the_pairwise_primitives_byte_for_byte(inst):
 def test_best_response_on_the_shared_support_equals_the_pairwise_ratio(inst):
     """On lattice laws the best response's atoms are those of ``align`` of the noised
     mixture and p_g, with the same ratios, and its game value is the optimal value."""
-    noised = [dist.discrete_convolve(p, n) for (p, _), n in zip(inst.data_parts, inst.noise_per_part)]
-    points, a, b = dist.align(dist.mixture(list(zip(noised, inst.alphas))), inst.p_g)
+    noised = [(dist.discrete_convolve(part.spec, part.noise), part.alpha) for part in inst.parts]
+    points, a, b = dist.align(dist.mixture(noised), inst.p_g)
     keep = a + b > 0
     support, d_star = oracle.optimal_discriminator(inst)
     assert support.shape == points[keep].shape
@@ -241,3 +241,14 @@ def test_canonicalize_equals_its_previous_implementation_bit_for_bit(rows, rnd):
     assert len(now) == len(before) == 3
     for a, b in zip(now, before):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(game_instances())
+def test_of_config_rows_equal_the_hand_built_instance_byte_for_byte(inst):
+    """A training config of the instance's parts, written to JSON and read back, gives
+    through ``GameInstance.of_config`` the report of the instance built by hand."""
+    config = training.TrainConfig(datasets=inst.parts, latent=dist.LatentPrior(1))
+    read_back = dist.from_json(training.TrainConfig, dist.to_json(config))
+    rows = [row.csv_row() for row in oracle.instance_checks(oracle.GameInstance.of_config(read_back, inst.p_g))]
+    assert rows == [row.csv_row() for row in oracle.instance_checks(inst)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tvgan import distributions as dist
-from tvgan import oracle
+from tvgan import oracle, training
 from tvgan.divergence import jsd_discrete, tv_discrete
 
 # -log 4 + 2 * JSD((1/2,1/2), (1,0)); the JSD factor is rederived in
@@ -28,11 +28,7 @@ def _no_noise(parts=1):
 
 
 def _single_part(p_data, p_g, noise=None):
-    return oracle.GameInstance(
-        data_parts=[(p_data, 1.0)],
-        noise_per_part=[noise] if noise else _no_noise(),
-        p_g=p_g,
-    )
+    return oracle.GameInstance([dist.DatasetPart(p_data, 1.0, noise or _no_noise()[0])], p_g)
 
 
 def _random_law(rng, max_atoms=5):
@@ -54,10 +50,10 @@ def _random_noise(rng):
 
 def _instance_with_parts(rng, parts):
     alphas = rng.dirichlet(np.ones(parts) * 5.0)
+    laws = [_random_law(rng) for _ in alphas]
+    noise = [_random_noise(rng) for _ in alphas]
     return oracle.GameInstance(
-        data_parts=[(_random_law(rng), float(a)) for a in alphas],
-        noise_per_part=[_random_noise(rng) for _ in range(parts)],
-        p_g=_random_law(rng),
+        [dist.DatasetPart(law, float(a), n) for law, a, n in zip(laws, alphas, noise)], _random_law(rng)
     )
 
 
@@ -67,8 +63,7 @@ def _random_instance(rng, max_parts=3):
 
 def _noised_mixture(inst):
     """The noised mixture built apart from the instance, with ``discrete_convolve`` and ``mixture``."""
-    channels = zip(inst.data_parts, inst.noise_per_part)
-    return dist.mixture([(dist.discrete_convolve(p, noise), a) for (p, a), noise in channels])
+    return dist.mixture([(dist.discrete_convolve(part.spec, part.noise), part.alpha) for part in inst.parts])
 
 
 def _table(support, values):
@@ -218,8 +213,8 @@ class TestOptimalValue:
         noise = dist.SpikeSlabNoise(0.4, dist.PointMassSlab(np.array([1.0])))
         p = _law([0.0, 10.0], [0.5, 0.5])
         noised = dist.discrete_convolve(p, noise)
-        matched = oracle.GameInstance([(p, 1.0)], [noise], noised)
-        clean = oracle.GameInstance([(p, 1.0)], [noise], p)
+        matched = oracle.GameInstance([dist.DatasetPart(p, 1.0, noise)], noised)
+        clean = oracle.GameInstance([dist.DatasetPart(p, 1.0, noise)], p)
         assert oracle.optimal_value(matched) == pytest.approx(-oracle.LOG4, abs=1e-12)
         assert oracle.optimal_value(clean) > -oracle.LOG4 + 1e-3
 
@@ -357,8 +352,7 @@ class TestChainCheck:
             dist.SpikeSlabNoise(0.5, shift),
         ]
         inst = oracle.GameInstance(
-            data_parts=[(part_a, 0.5), (part_b, 0.5)],
-            noise_per_part=noises,
+            [dist.DatasetPart(part_a, 0.5, noises[0]), dist.DatasetPart(part_b, 0.5, noises[1])],
             p_g=_law([0.0, 20.0], [0.5, 0.5]),
         )
         report = oracle.mixture_chain_check(inst, delta=0.5)
@@ -382,7 +376,7 @@ class TestChainCheck:
         rng = np.random.default_rng(77)
         for trial in range(100):
             inst = _random_instance(rng)
-            delta = max(n.gamma for n in inst.noise_per_part)
+            delta = dist.budget(inst.parts)
             report = oracle.mixture_chain_check(inst, delta)
             assert report.all_hold, (
                 f"trial {trial}: "
@@ -421,13 +415,10 @@ class TestInstanceChecks:
         rng = np.random.default_rng(21)
         for trial in range(30):
             inst = _random_instance(rng)
-            parts = len(inst.data_parts)
-            delta = max(n.gamma for n in inst.noise_per_part)
+            parts = len(inst.parts)
+            delta = dist.budget(inst.parts)
             rows = oracle.instance_checks(inst)
-            want = [
-                oracle.channel_bound_check(p, noise)
-                for (p, _), noise in zip(inst.data_parts, inst.noise_per_part)
-            ]
+            want = [oracle.channel_bound_check(part.spec, part.noise) for part in inst.parts]
             again = _fresh(inst)
             gap = abs(
                 oracle.optimal_value(again)
@@ -495,24 +486,19 @@ class TestGameInstance:
     def test_alphas_must_sum_to_one(self):
         p = _law([0.0], [1.0])
         with pytest.raises(ValueError):
-            oracle.GameInstance(
-                data_parts=[(p, 0.5), (p, 0.4)],
-                noise_per_part=_no_noise(2),
-                p_g=p,
-            )
+            oracle.GameInstance([dist.DatasetPart(p, a, n) for a, n in zip((0.5, 0.4), _no_noise(2))], p)
 
     def test_noise_count_must_match_parts(self):
-        p = _law([0.0], [1.0])
-        with pytest.raises(ValueError):
-            oracle.GameInstance(data_parts=[(p, 1.0)], noise_per_part=[], p_g=p)
+        raw = _single_part(_law([0.0], [1.0]), _law([0.0], [1.0])).to_dict()
+        raw["noise"] = []
+        with pytest.raises(ValueError, match="one noise channel per data part"):
+            oracle.GameInstance.from_dict(raw)
 
     def test_dimensions_must_agree(self):
         p1 = _law([0.0], [1.0])
         p2 = dist.DiscreteDist(np.array([[0.0, 0.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
-            oracle.GameInstance(
-                data_parts=[(p1, 1.0)], noise_per_part=_no_noise(), p_g=p2
-            )
+            _single_part(p1, p2)
 
     @pytest.mark.parametrize(
         "slab, error, message",
@@ -528,7 +514,7 @@ class TestGameInstance:
         p = _law([0.0], [1.0])
         noise = [_no_noise()[0], dist.SpikeSlabNoise(0.5, slab)]
         with pytest.raises(error, match=message):
-            oracle.GameInstance(data_parts=[(p, 0.5), (p, 0.5)], noise_per_part=noise, p_g=p)
+            oracle.GameInstance([dist.DatasetPart(p, 0.5, n) for n in noise], p)
 
     def test_zero_gamma_noised_masses_equal_clean_masses(self):
         p = _law([0.0, 2.0], [0.25, 0.75])
@@ -544,6 +530,43 @@ class TestGameInstance:
         again = oracle.GameInstance.from_dict(inst.to_dict())
         assert again.to_dict() == inst.to_dict()
         assert oracle.optimal_value(again) == oracle.optimal_value(inst)
+
+
+class TestOfConfig:
+    @staticmethod
+    def _config(*parts):
+        return training.TrainConfig(datasets=list(parts), latent=dist.LatentPrior(1))
+
+    def test_a_file_dataset_is_its_empirical_law(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_text("0\n0\n1\n")
+        config = self._config(dist.DatasetPart(dist.FileDataset(str(path)), 1.0, _no_noise()[0]))
+        law = oracle.GameInstance.of_config(config, _law([0.0], [1.0])).parts[0].spec
+        assert law.support.tolist() == [[0.0], [1.0]]
+        assert law.probs.tolist() == [2 / 3, 1 / 3]
+
+    @pytest.mark.parametrize(
+        "spec, slab, message",
+        [
+            (
+                dist.GaussianMixture([dist.MixtureComponent([0.0], [1.0], 1.0)]),
+                dist.PointMassSlab([1.0]),
+                r"^datasets\[1\]\.spec: GaussianMixture has no finite support$",
+            ),
+            (
+                _law([0.0], [1.0]),
+                dist.GaussianSlab([1.0]),
+                r"^datasets\[0\]\.noise\.slab: GaussianSlab has continuous support",
+            ),
+        ],
+        ids=["continuous-spec", "continuous-slab"],
+    )
+    def test_a_part_without_an_exact_law_is_refused_by_its_path(self, spec, slab, message):
+        """The continuous spec is the second part's and the continuous slab the first part's."""
+        first = dist.DatasetPart(_law([0.0], [1.0]), 0.5, dist.SpikeSlabNoise(0.5, slab))
+        config = self._config(first, dist.DatasetPart(spec, 0.5, _no_noise()[0]))
+        with pytest.raises(ValueError, match=message):
+            oracle.GameInstance.of_config(config, _law([0.0], [1.0]))
 
 
 def _grid_by_hand(p_data, grid_step):

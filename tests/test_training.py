@@ -220,16 +220,13 @@ class TestSteps:
         eval_real = [tr.sample_clean_mixture(config, 2000, eval_rng)]
         eval_fake = tr.generator_sample(g_params, config.latent, 2000, eval_rng)
 
-        before = tr.discriminator_objective(
-            d_params, eval_real, config.alphas, eval_fake
-        )[0]
+        alphas = [part.alpha for part in config.datasets]
+        before = tr.discriminator_objective(d_params, eval_real, alphas, eval_fake)[0]
         for _ in range(60):
             d_params, d_state, _ = tr.discriminator_step(
                 d_params, d_state, g_params, config, rng
             )
-        after = tr.discriminator_objective(
-            d_params, eval_real, config.alphas, eval_fake
-        )[0]
+        after = tr.discriminator_objective(d_params, eval_real, alphas, eval_fake)[0]
         assert after > before
 
     def test_generator_descent_chases_a_frozen_preference(self):
@@ -494,7 +491,7 @@ class TestSampling:
     @staticmethod
     def _choice_clean_mixture(config, n, rng):
         """The mixture draw as first written, with ``Generator.choice``."""
-        which = rng.choice(len(config.datasets), size=n, p=config.alphas)
+        which = rng.choice(len(config.datasets), size=n, p=[part.alpha for part in config.datasets])
         out = np.zeros((n, config.data_dim))
         for l, part in enumerate(config.datasets):
             rows = which == l
@@ -958,15 +955,22 @@ class TestDiscriminatorClosure:
     def _law(support, probs):
         return dist.DiscreteDist(np.array(support, dtype=np.float64).reshape(-1, 1), np.array(probs))
 
-    def test_averaged_discriminator_matches_the_exact_best_response(self):
-        parts = [(self._law([0, 1, 2], [0.5, 0.3, 0.2]), 0.8), (self._law([1, 3], [0.6, 0.4]), 0.2)]
-        noise = [
-            dist.SpikeSlabNoise(0.3, dist.PointMassSlab([1.0])),
-            dist.SpikeSlabNoise(0.5, dist.PointMassSlab([-2.0])),
+    @classmethod
+    def parts(cls):
+        return [
+            dist.DatasetPart(cls._law([0, 1, 2], [0.5, 0.3, 0.2]), 0.8, dist.SpikeSlabNoise(0.3, dist.PointMassSlab([1.0]))),
+            dist.DatasetPart(cls._law([1, 3], [0.6, 0.4]), 0.2, dist.SpikeSlabNoise(0.5, dist.PointMassSlab([-2.0]))),
         ]
-        inst = oracle.GameInstance(parts, noise, self._law([1.0], [1.0]))
+
+    def test_of_config_rows_equal_the_hand_built_instance(self):
+        config = tr.TrainConfig(datasets=self.parts(), latent=dist.LatentPrior(1))
+        p_g = self._law([1.0], [1.0])
+        rows = [row.csv_row() for row in oracle.instance_checks(oracle.GameInstance.of_config(config, p_g))]
+        assert rows == [row.csv_row() for row in oracle.instance_checks(oracle.GameInstance(self.parts(), p_g))]
+
+    def test_averaged_discriminator_matches_the_exact_best_response(self):
         config = tr.TrainConfig(
-            datasets=[tr.DatasetPart(law, alpha, n) for (law, alpha), n in zip(parts, noise)],
+            datasets=self.parts(),
             latent=dist.LatentPrior(1),
             g_hidden=[],
             d_hidden=[16, 16],
@@ -974,6 +978,7 @@ class TestDiscriminatorClosure:
             d_adam=tr.AdamConfig(lr=1e-3, beta1=0.5),
             seed=self.SEED,
         )
+        inst = oracle.GameInstance.of_config(config, self._law([1.0], [1.0]))
         rng = np.random.default_rng(config.seed)
         g_params, d_params = tr.build_models(config, rng)
         g_params.layers[-1].weights[:] = 0.0  # G(z) = 1 for every z
