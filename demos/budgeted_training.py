@@ -26,6 +26,7 @@ from tvgan.distributions import (
     from_json,
 )
 from tvgan.training import (
+    BUDGET_MARGIN,
     AdamConfig,
     TrainConfig,
     evaluate_budget,
@@ -52,7 +53,7 @@ def main():
     report = evaluate_budget(result.generator, config, n_eval=20000)
     print(
         f"final budget check: JSD(clean data, generator) = {report.jsd_estimate:.4f} "
-        f"vs delta + margin = {report.delta + 0.15:.2f} -> within budget: {report.within_budget}"
+        f"vs delta + margin = {report.delta + BUDGET_MARGIN:.2f} -> within budget: {report.within_budget}"
     )
 
     print()

@@ -42,6 +42,7 @@ from .divergence import (
     tv_discrete,
 )
 from .nn import (
+    AdamConfig,
     AdamState,
     MlpParams,
     adam_step,
@@ -67,7 +68,6 @@ from .oracle import (
     optimal_value,
 )
 from .training import (
-    AdamConfig,
     BudgetReport,
     MetricsRecord,
     TrainConfig,

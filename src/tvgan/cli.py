@@ -31,7 +31,7 @@ from .distributions import (
     to_json,
 )
 from .divergence import DivergenceReport, HistogramEstimator, estimate_divergences
-from .oracle import CHAIN_CSV_HEADER, GameInstance, instance_checks
+from .oracle import CHAIN_CSV_HEADER, CHECK_FAMILIES, GameInstance, instance_checks
 from .training import TrainConfig, train
 
 
@@ -120,9 +120,7 @@ def cmd_train(args) -> int:
     manifest.write(manifest_path)
     result = train(config, out_dir=out)
     manifest.finished = _utc_now()
-    manifest.outputs = sorted(
-        p.name for p in out.iterdir() if p.is_file() and p.name != "manifest.json"
-    )
+    manifest.outputs = sorted(p.name for p in result.outputs)
     manifest.write(manifest_path)
     if result.metrics:
         last = result.metrics[-1]
@@ -231,10 +229,6 @@ def cmd_gradcheck(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad --sizes (want comma-separated ints): {exc}") from exc
-    if len(sizes) < 2:
-        raise UsageError("--sizes needs at least input and output widths")
-    if min(sizes) < 1:
-        raise UsageError(f"--sizes widths must be >= 1, got {args.sizes}")
     if not (np.isfinite(args.step) and args.step > 0):
         raise UsageError(f"--step must be finite and > 0, got {args.step!r}")
     if not (np.isfinite(args.tol) and args.tol >= 0):
@@ -242,7 +236,10 @@ def cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    params = nn.init_mlp(sizes, [args.activation] * (len(sizes) - 2) + ["identity"], rng)
+    try:
+        params = nn.init_mlp(sizes, [args.activation] * (len(sizes) - 2) + ["identity"], rng)
+    except ValueError as exc:
+        raise UsageError(f"--sizes {args.sizes}: {exc}") from exc
     x = rng.standard_normal((4, sizes[0]))
     readout = rng.standard_normal((4, sizes[-1]))
 
@@ -279,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--instance", required=True, help="JSON game instance")
     p_oracle.add_argument(
         "--check",
-        choices=("all", "channel", "value", "chain"),
+        choices=CHECK_FAMILIES,
         default="all",
         help="which inequality family to verify",
     )
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     p_grad.add_argument("--sizes", default="2,8,8,1", help="comma-separated layer widths")
-    p_grad.add_argument("--activation", choices=("tanh", "relu", "sigmoid"), default="tanh")
+    p_grad.add_argument("--activation", choices=nn.ACTIVATIONS, default="tanh")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
     p_grad.add_argument("--tol", type=float, default=1e-6, help="pass threshold")

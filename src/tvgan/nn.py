@@ -26,7 +26,8 @@ row blocks sized so that each hidden activation of the widest layer fits in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -96,6 +97,8 @@ class Layer:
         self.biases = _as_f64(self.biases)
         if self.weights.ndim != 2 or self.biases.ndim != 1:
             raise ValueError("weights must be 2-D and biases 1-D")
+        if self.weights.size == 0:
+            raise ValueError(f"weights must not be empty, got shape {self.weights.shape}")
         if self.biases.shape[0] != self.weights.shape[1]:
             raise ValueError(
                 f"bias length {self.biases.shape[0]} != fan_out {self.weights.shape[1]}"
@@ -199,10 +202,12 @@ def init_mlp(sizes: Sequence[int], activations: Sequence[str], rng: np.random.Ge
     """Build an MLP with the given layer widths.
 
     Weights are uniform in +/- sqrt(6 / (fan_in + fan_out)); biases start at zero.
-    ``sizes`` has one more entry than ``activations``.
+    ``sizes`` has one more entry than ``activations``, and every width is >= 1.
     """
     if len(sizes) < 2 or len(activations) != len(sizes) - 1:
         raise ValueError("need len(sizes) >= 2 and one activation per layer")
+    if min(sizes) < 1:
+        raise ValueError(f"widths must be >= 1, got {list(sizes)}")
     layers = []
     for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], activations):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -350,27 +355,40 @@ def add_grads(total: np.ndarray, extra: np.ndarray) -> np.ndarray:
 
 
 @dataclass
+class AdamConfig:
+    """Adam's step size, moment decays and denominator floor. Each beta lies in
+    [0, 1): a beta of 1 divides by zero in the bias correction."""
+
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("lr", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+
+
+@dataclass
 class AdamState:
     """Bias-corrected Adam moments for one network, vectors laid out like ``MlpParams.flat``."""
 
-    lr: float
-    beta1: float
-    beta2: float
-    epsilon: float
+    config: AdamConfig
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
 
 
-def init_adam(
-    params: MlpParams,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(params: MlpParams, config: AdamConfig | None = None) -> AdamState:
+    """Zero moments for ``params``, stepped with ``config`` (default ``AdamConfig()``)."""
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-    return AdamState(lr, beta1, beta2, epsilon, first_moment=m, second_moment=v)
+    return AdamState(AdamConfig() if config is None else config, m, v)
 
 
 def _as_grad(params: MlpParams, grads) -> np.ndarray:
@@ -400,27 +418,27 @@ def adam_step(
         raise ValueError(f"direction must be 'ascend' or 'descend', got {direction!r}")
     if not np.isfinite(g).all():
         raise NonFiniteError("gradients", layer=params._layout.first_non_finite_layer(g))
-    t = state.step_count + 1
+    cfg, t = state.config, state.step_count + 1
     m, v = state.first_moment.copy(), state.second_moment.copy()
-    params, state = params.copy(), replace(state, first_moment=m, second_moment=v, step_count=t)
+    params, state = params.copy(), AdamState(cfg, m, v, t)
     flat = params.flat
     # The operations of
     #   m = beta1 * m + (1 - beta1) * g,   v = beta2 * v + (1 - beta2) * g * g,
     #   step = lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + epsilon),
     # one by one and in that order; the in-place products swap their operands,
     # which IEEE multiplication rounds the same.
-    m *= state.beta1
-    tmp = np.multiply(g, 1.0 - state.beta1)
+    m *= cfg.beta1
+    tmp = np.multiply(g, 1.0 - cfg.beta1)
     m += tmp
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    v *= cfg.beta2
+    np.multiply(g, 1.0 - cfg.beta2, out=tmp)
     tmp *= g
     v += tmp
-    step = np.divide(m, 1.0 - state.beta1**t, out=tmp)
-    step *= state.lr
-    den = np.divide(v, 1.0 - state.beta2**t)
+    step = np.divide(m, 1.0 - cfg.beta1**t, out=tmp)
+    step *= cfg.lr
+    den = np.divide(v, 1.0 - cfg.beta2**t)
     np.sqrt(den, out=den)
-    den += state.epsilon
+    den += cfg.epsilon
     step /= den
     if direction == "ascend":
         flat += step

@@ -43,18 +43,8 @@ VALUE_TOL = 1e-9
 
 _CLIP = 1e-12
 
-
-def _kept(method):
-    """A no-argument method whose result is computed on first use and kept on the instance."""
-    key = f"_{method.__name__}"
-
-    @functools.wraps(method)
-    def kept(self):
-        if key not in vars(self):
-            setattr(self, key, method(self))
-        return vars(self)[key]
-
-    return kept
+# The check families ``instance_checks`` runs, ``all`` first.
+CHECK_FAMILIES = ("all", "channel", "value", "chain")
 
 
 class Masses(NamedTuple):
@@ -116,7 +106,7 @@ class GameInstance:
         check_parts(parts, "datasets", "datasets[{}].noise", exact=True)
         return GameInstance(parts, p_g)
 
-    @_kept
+    @functools.cached_property
     def shared_support(self) -> SharedSupport:
         """The clean parts, noised parts, ``p_g`` and both mixtures on one support.
 
@@ -154,21 +144,21 @@ class GameInstance:
             generator=_on_union(noised_mixture, p_g),
         )
 
-    @_kept
+    @functools.cached_property
     def part_tvs(self) -> list[float]:
         """TV(clean part, noised part) per part: the mass each channel moved."""
-        s = self.shared_support()
+        s = self.shared_support
         return [_tv_arrays(*_on_union(c, n)) for c, n in zip(s.clean, s.noised)]
 
-    @_kept
+    @functools.cached_property
     def mixture_jsd(self) -> float:
         """JSD(clean mixture, noised mixture)."""
-        return _jsd_arrays(*self.shared_support().mixtures)
+        return _jsd_arrays(*self.shared_support.mixtures)
 
-    @_kept
+    @functools.cached_property
     def generator_jsd(self) -> float:
         """JSD(noised mixture, generator)."""
-        return _jsd_arrays(*self.shared_support().generator)
+        return _jsd_arrays(*self.shared_support.generator)
 
     # These two convert the instance file's own layout (``_InstanceFile``), which
     # differs from the instance's fields; ``from_json`` alone cannot read it.
@@ -206,7 +196,7 @@ def _xlog_share(x: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 def _with_mass(inst: GameInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shared-support atoms with noised-mixture or generator mass, and both masses there."""
-    s = inst.shared_support()
+    s = inst.shared_support
     a, b = s.noised_mixture.mass, s.p_g.mass
     keep = a + b > 0
     return keep, a[keep], b[keep]
@@ -217,7 +207,7 @@ def optimal_discriminator(inst: GameInstance) -> tuple[np.ndarray, np.ndarray]:
     over total mass on the atoms of ``shared_support`` that carry either, in its order.
     """
     keep, a, b = _with_mass(inst)
-    return inst.shared_support().support[keep], a / (a + b)
+    return inst.shared_support.support[keep], a / (a + b)
 
 
 def game_value(inst: GameInstance, scores: np.ndarray) -> float:
@@ -246,7 +236,7 @@ def optimal_value(inst: GameInstance) -> float:
     it always equals ``-log 4 + 2 * JSD(noised mixture, generator)`` up to
     roundoff, and -log 4 exactly when the two laws coincide.
     """
-    a, b = inst.shared_support().generator
+    a, b = inst.shared_support.generator
     total = a + b
     return float(np.sum(_xlog_share(a, total)) + np.sum(_xlog_share(b, total)))
 
@@ -362,16 +352,16 @@ def mixture_chain_check(inst: GameInstance, delta: float) -> ChainReport:
     triangle inequality for the square root of JSD. ``delta`` lies in [0, 1].
     """
     _check_delta(inst, delta)
-    part_tvs = inst.part_tvs()
+    part_tvs = inst.part_tvs
     checks = [_ineq(f"part{l}_tv_budget", tv, delta) for l, tv in enumerate(part_tvs)]
-    s = inst.shared_support()
+    s = inst.shared_support
     tv_mix = _tv_arrays(*s.mixtures)
     weighted = float(np.dot([part.alpha for part in inst.parts], part_tvs))
     checks.append(_ineq("mixture_tv_concavity", tv_mix, weighted))
     checks.append(_ineq("weighted_tv_budget", weighted, delta))
-    checks.append(_ineq("jsd_le_tv", inst.mixture_jsd(), tv_mix))
+    checks.append(_ineq("jsd_le_tv", inst.mixture_jsd, tv_mix))
     sqrt_total = np.sqrt(_jsd_arrays(*_on_union(s.clean_mixture, s.p_g)))
-    sqrt_parts = np.sqrt(inst.generator_jsd()) + np.sqrt(inst.mixture_jsd())
+    sqrt_parts = np.sqrt(inst.generator_jsd) + np.sqrt(inst.mixture_jsd)
     checks.append(_ineq("sqrt_jsd_triangle", sqrt_total, sqrt_parts))
     return ChainReport(checks)
 
@@ -384,17 +374,17 @@ def instance_checks(
     rows of ``mixture_chain_check``, ``delta`` defaulting to the largest
     gamma) or ``all`` three in that order. Shared divergences are computed once.
     """
-    if which not in ("all", "channel", "value", "chain"):
+    if which not in CHECK_FAMILIES:
         raise ValueError(f"unknown check family {which!r}")
     if delta is None:
         delta = budget(inst.parts)
     _check_delta(inst, delta)
     checks: list[Inequality] = []
     if which in ("channel", "all"):
-        for l, (tv, part) in enumerate(zip(inst.part_tvs(), inst.parts)):
+        for l, (tv, part) in enumerate(zip(inst.part_tvs, inst.parts)):
             checks.append(_ineq(f"part{l}_channel_tv", tv, part.noise.gamma))
     if which in ("value", "all"):
-        gap = abs(optimal_value(inst) - (-LOG4 + 2.0 * inst.generator_jsd()))
+        gap = abs(optimal_value(inst) - (-LOG4 + 2.0 * inst.generator_jsd))
         checks.append(_ineq("value_identity", gap, VALUE_TOL, tol=0.0))
     if which in ("chain", "all"):
         checks.extend(mixture_chain_check(inst, delta).inequalities)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .distributions import (
     sample_latent,
 )
 from .divergence import HistogramEstimator, estimate_divergences
+from .nn import AdamConfig
 
 LOG_EPS = nn.LOG_EPS
 
@@ -52,25 +53,6 @@ def _safe_log(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     grad = 1.0 / clamped
     grad[(v < LOG_EPS) | (v > 1.0)] = 0.0
     return np.log(clamped), grad
-
-
-@dataclass
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        # the usual Adam rules; a beta of 1 divides by zero in the bias correction
-        for name in ("lr", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
 
 
 @dataclass
@@ -323,6 +305,7 @@ class TrainResult:
     generator: nn.MlpParams
     discriminator: nn.MlpParams
     metrics: list[MetricsRecord]
+    outputs: list[Path] = field(default_factory=list)  # the files ``train`` wrote, if any
 
 
 class _Eval:
@@ -366,7 +349,8 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
     generator descent; a metrics record is appended per generator step, with
     divergence estimates against a fresh clean-mixture sample every
     ``eval_every`` steps. If ``out_dir`` is given, metrics, checkpoints, and a
-    final generator sample are written there at the end.
+    final generator sample are written there at the end, and listed in the
+    result's ``outputs``.
 
     An eval draws its clean and latent samples at its step, then overlaps its
     generator forward with the following steps (``_Eval``); at most one is in
@@ -376,8 +360,8 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
     """
     rng = np.random.default_rng(config.seed)
     g_params, d_params = build_models(config, rng)
-    g_state = nn.init_adam(g_params, **asdict(config.g_adam))
-    d_state = nn.init_adam(d_params, **asdict(config.d_adam))
+    g_state = nn.init_adam(g_params, config.g_adam)
+    d_state = nn.init_adam(d_params, config.d_adam)
     metrics: list[MetricsRecord] = []
     pending: _Eval | None = None
     step = 0
@@ -414,7 +398,7 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
             pending.thread.join()
     result = TrainResult(g_params, d_params, metrics)
     if out_dir is not None:
-        write_run_outputs(result, config, out_dir, rng)
+        result.outputs = write_run_outputs(result, config, out_dir, rng)
     return result
 
 
@@ -467,6 +451,11 @@ def write_run_outputs(
     return written
 
 
+# ``evaluate_budget``'s allowance over delta for estimator bias and the
+# finite-capacity optimization gap.
+BUDGET_MARGIN = 0.15
+
+
 @dataclass
 class BudgetReport:
     """Estimated divergences between the clean mixture and the generator."""
@@ -482,14 +471,12 @@ def evaluate_budget(
     config: TrainConfig,
     n_eval: int,
     rng: np.random.Generator | None = None,
-    estimator_margin: float = 0.15,
 ) -> BudgetReport:
     """Check the trained generator against the budget.
 
     Compares generator samples to the clean mixture (not the noised one; the
     budget claim is about the original data) and soft-checks
-    ``jsd <= delta + estimator_margin``, where the margin absorbs estimator
-    bias and the finite-capacity optimization gap.
+    ``jsd <= delta + BUDGET_MARGIN``.
     """
     if config.estimator is None:
         raise ValueError("config has no histogram estimator")
@@ -503,5 +490,5 @@ def evaluate_budget(
         tv_estimate=report.tv,
         jsd_estimate=report.jsd_nats,
         delta=delta,
-        within_budget=report.jsd_nats <= delta + estimator_margin,
+        within_budget=report.jsd_nats <= delta + BUDGET_MARGIN,
     )

@@ -216,6 +216,24 @@ class TestTrainCommand:
         original = TrainConfig.from_dict(json.loads(config.read_text()))
         assert to_json(echoed) == to_json(original)
 
+    def test_manifest_lists_only_this_runs_files(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("not written by the run\n")
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [
+            "discriminator.bin",
+            "discriminator.json",
+            "generator.bin",
+            "generator.json",
+            "metrics.csv",
+            "samples.csv",
+        ]
+        assert (out / "notes.txt").read_text() == "not written by the run\n"
+
     def test_seed_override_changes_the_run(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -911,6 +929,10 @@ class TestGradcheckCommand:
 
     def test_relu_network_at_looser_tolerance(self, capsys):
         assert cli.main(["gradcheck", "--activation", "relu", "--tol", "1e-4"]) == 0
+        capsys.readouterr()
+
+    def test_identity_network_passes(self, capsys):
+        assert cli.main(["gradcheck", "--activation", "identity"]) == 0
         capsys.readouterr()
 
     def test_bad_sizes_are_a_usage_error(self, capsys):

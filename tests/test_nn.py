@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tvgan import nn
+from tvgan import nn, training
 
 
 def _readout_loss(x, readout):
@@ -59,10 +59,10 @@ def _per_layer_adam(arrays, grads, m, v, t, state, sign):
     the whole-vector ``nn.adam_step`` must reproduce bit for bit."""
     out = []
     for value, grad, m_old, v_old in zip(arrays, grads, m, v):
-        m_new = state.beta1 * m_old + (1.0 - state.beta1) * grad
-        v_new = state.beta2 * v_old + (1.0 - state.beta2) * grad * grad
-        step = state.lr * (m_new / (1.0 - state.beta1**t)) / (
-            np.sqrt(v_new / (1.0 - state.beta2**t)) + state.epsilon
+        m_new = state.config.beta1 * m_old + (1.0 - state.config.beta1) * grad
+        v_new = state.config.beta2 * v_old + (1.0 - state.config.beta2) * grad * grad
+        step = state.config.lr * (m_new / (1.0 - state.config.beta1**t)) / (
+            np.sqrt(v_new / (1.0 - state.config.beta2**t)) + state.config.epsilon
         )
         out.append((value + sign * step, m_new, v_new))
     return [list(col) for col in zip(*out)]
@@ -552,7 +552,7 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = _scalar_param(1.5)
-        state = nn.init_adam(params, lr=0.1)
+        state = nn.init_adam(params, nn.AdamConfig(lr=0.1))
         grads = np.array([0.0, 0.0])  # [w, b]
         new_params, _ = nn.adam_step(params, grads, state, direction="descend")
         assert new_params.layers[0].weights[0, 0] == 1.5
@@ -562,7 +562,7 @@ class TestAdam:
         exactly lr / (1 + epsilon)."""
         lr, eps = 1e-3, 1e-8
         params = _scalar_param(0.0)
-        state = nn.init_adam(params, lr=lr, epsilon=eps)
+        state = nn.init_adam(params, nn.AdamConfig(lr=lr, epsilon=eps))
         grads = np.array([1.0, 0.0])  # [w, b]
         new_params, new_state = nn.adam_step(params, grads, state, direction="descend")
         delta = new_params.layers[0].weights[0, 0]
@@ -572,7 +572,7 @@ class TestAdam:
     def test_descent_minimizes_convex_bowl(self):
         """200 steps on f(w) = w^2 from w = 3 with lr = 0.05 land near zero."""
         params = _scalar_param(3.0)
-        state = nn.init_adam(params, lr=0.05)
+        state = nn.init_adam(params, nn.AdamConfig(lr=0.05))
         for _ in range(200):
             w = params.layers[0].weights[0, 0]
             grads = np.array([2.0 * w, 0.0])  # [w, b]
@@ -584,8 +584,8 @@ class TestAdam:
         rng = np.random.default_rng(21)
         params_a = nn.init_mlp([2, 4, 1], ["tanh", "identity"], rng)
         params_b = params_a.copy()
-        state_a = nn.init_adam(params_a, lr=0.01)
-        state_b = nn.init_adam(params_b, lr=0.01)
+        state_a = nn.init_adam(params_a, nn.AdamConfig(lr=0.01))
+        state_b = nn.init_adam(params_b, nn.AdamConfig(lr=0.01))
 
         grad_rng = np.random.default_rng(22)
         for _ in range(10):
@@ -602,7 +602,7 @@ class TestAdam:
 
     def test_step_does_not_mutate_inputs(self):
         params = _scalar_param(2.0)
-        state = nn.init_adam(params, lr=0.1)
+        state = nn.init_adam(params, nn.AdamConfig(lr=0.1))
         grads = np.array([1.0, 1.0])  # [w, b]
         nn.adam_step(params, grads, state, direction="descend")
         assert params.layers[0].weights[0, 0] == 2.0
@@ -634,7 +634,7 @@ class TestAdam:
 
     def test_state_needs_both_moments(self):
         with pytest.raises(TypeError):
-            nn.AdamState(lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8)
+            nn.AdamState(nn.AdamConfig())
         params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(0))
         state = nn.init_adam(params)
         for moment in (state.first_moment, state.second_moment):
@@ -645,7 +645,7 @@ class TestAdam:
         """Finite gradients whose update overflows are refused, naming the layer."""
         rng = np.random.default_rng(31)
         params = nn.init_mlp([2, 3, 2, 1], ["tanh", "tanh", "identity"], rng)
-        state = nn.init_adam(params, lr=10.0, beta1=0.0)
+        state = nn.init_adam(params, nn.AdamConfig(lr=10.0, beta1=0.0))
         grads = np.zeros_like(params.flat)
         _split(params, grads)[5][0] = 1e308  # layer 2's biases
         with np.errstate(all="ignore"), pytest.raises(nn.NonFiniteError) as err:
@@ -659,7 +659,7 @@ class TestAdam:
         equal the per-layer reference bit for bit."""
         rng = np.random.default_rng(50)
         params = nn.init_mlp([3, 7, 5, 2], ["tanh", "relu", "identity"], rng)
-        state = nn.init_adam(params, lr=0.01, beta1=0.5, beta2=0.99, epsilon=1e-7)
+        state = nn.init_adam(params, nn.AdamConfig(lr=0.01, beta1=0.5, beta2=0.99, epsilon=1e-7))
         ref = _arrays(params.layers)
         ref_m = [np.zeros_like(a) for a in ref]
         ref_v = [np.zeros_like(a) for a in ref]
@@ -684,7 +684,7 @@ class TestAdam:
     def test_step_leaves_multi_layer_inputs_untouched(self):
         rng = np.random.default_rng(52)
         params = nn.init_mlp([2, 5, 4, 1], ["tanh", "tanh", "sigmoid"], rng)
-        state = nn.init_adam(params, lr=0.05)
+        state = nn.init_adam(params, nn.AdamConfig(lr=0.05))
         for _ in range(3):  # non-zero moments
             grads = rng.normal(size=params.flat.size)
             params, state = nn.adam_step(params, grads, state, direction="ascend")
@@ -700,6 +700,14 @@ class TestAdam:
         assert not np.shares_memory(new_params.flat, params.flat)
         for moment in ("first_moment", "second_moment"):
             assert not np.shares_memory(getattr(new_state, moment), getattr(state, moment))
+
+    def test_settings_are_the_one_config_class(self):
+        """``training`` and ``nn`` share one ``AdamConfig``, and a state carries it."""
+        assert nn.AdamConfig is training.AdamConfig
+        params = _scalar_param(0.0)
+        config = nn.AdamConfig(lr=0.01, beta1=0.5)
+        assert nn.init_adam(params, config).config is config
+        assert nn.init_adam(params).config == nn.AdamConfig(lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8)
 
     def test_invalid_direction_rejected(self):
         params = _scalar_param(0.0)
@@ -785,6 +793,24 @@ class TestInit:
     def test_sizes_and_activations_must_agree(self):
         with pytest.raises(ValueError):
             nn.init_mlp([3, 5, 2], ["tanh"], np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: nn.init_mlp([2, 0, 1], ["tanh", "identity"], np.random.default_rng(0)),
+             r"widths must be >= 1, got \[2, 0, 1\]"),
+            (lambda: nn.init_mlp([2, -3, 1], ["tanh", "identity"], np.random.default_rng(0)),
+             r"widths must be >= 1, got \[2, -3, 1\]"),
+            (lambda: nn.Layer(np.zeros((2, 0)), np.zeros(0), "tanh"),
+             r"weights must not be empty, got shape \(2, 0\)"),
+        ],
+        ids=["init_mlp-zero", "init_mlp-negative", "Layer-empty"],
+    )
+    def test_width_below_one_is_refused(self, build, message):
+        """A zero-width layer would make the output ignore the input; a negative
+        width is refused before its bound takes the square root of a negative."""
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestCheckpoint:

@@ -107,7 +107,7 @@ class TestOptimalDiscriminator:
         noise = dist.SpikeSlabNoise(1.0, dist.PointMassSlab(np.array([-1.0])))
         inst = _single_part(_law([0.0, 3.0], [0.5, 0.5]), _law([-1.0, 2.0, 7.0], [0.5, 0.5, 0.0]), noise)
         support, d_star = oracle.optimal_discriminator(inst)
-        assert inst.shared_support().support[:, 0].tolist() == [-1.0, 0.0, 2.0, 3.0, 7.0]
+        assert inst.shared_support.support[:, 0].tolist() == [-1.0, 0.0, 2.0, 3.0, 7.0]
         assert support.tolist() == [[-1.0], [2.0]]
         assert d_star.tolist() == [0.5, 0.5]
 
@@ -120,7 +120,7 @@ class TestOptimalDiscriminator:
         inst = _single_part(_law([0.0], [1.0]), _law([0.8e-12], [1.0]), noise)
         support, d_star = oracle.optimal_discriminator(inst)
         assert support.tolist() == [[0.0]] and d_star.tolist() == [0.5]
-        assert inst.generator_jsd() == 0.0
+        assert inst.generator_jsd == 0.0
         assert oracle.optimal_value(inst) == pytest.approx(-oracle.LOG4, abs=1e-12)
         assert abs(oracle.game_value(inst, d_star) - oracle.optimal_value(inst)) <= oracle.VALUE_TOL
 
@@ -457,7 +457,7 @@ class TestInstanceChecks:
         assert jsd_discrete(dist.discrete_convolve(p, noise), p_g) == 0.0
 
         inst = _single_part(p, p_g, noise)
-        assert inst.shared_support().support.shape == (1, 1)
+        assert inst.shared_support.support.shape == (1, 1)
         rows = {row.name: row for row in oracle.instance_checks(inst, "all")}
         assert rows["part0_channel_tv"].lhs == 0.0
         assert rows["part0_tv_budget"].lhs == 0.0
@@ -519,7 +519,7 @@ class TestGameInstance:
     def test_zero_gamma_noised_masses_equal_clean_masses(self):
         p = _law([0.0, 2.0], [0.25, 0.75])
         inst = _single_part(p, p)
-        s = inst.shared_support()
+        s = inst.shared_support
         assert s.support.tolist() == [[0.0], [2.0]]
         assert s.noised[0].mass.tolist() == s.clean[0].mass.tolist() == [0.25, 0.75]
         assert s.noised_mixture.mass.tolist() == s.clean_mixture.mass.tolist() == [0.25, 0.75]

@@ -9,7 +9,6 @@ gating, determinism, artifact layout) is pinned with tiny seeded runs.
 import csv
 import threading
 import weakref
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -185,7 +184,7 @@ class TestSteps:
         real = [rng.normal(size=(64, 2)) + np.array([1.5, 0.0])]
         fake = rng.normal(size=(64, 2)) - np.array([1.5, 0.0])
         alphas = np.array([1.0])
-        state = nn.init_adam(d_params, lr=1e-2)
+        state = nn.init_adam(d_params, nn.AdamConfig(lr=1e-2))
 
         values = []
         for _ in range(100):
@@ -214,7 +213,7 @@ class TestSteps:
         )
         rng = np.random.default_rng(config.seed)
         g_params, d_params = tr.build_models(config, rng)
-        d_state = nn.init_adam(d_params, **asdict(config.d_adam))
+        d_state = nn.init_adam(d_params, config.d_adam)
 
         eval_rng = np.random.default_rng(999)
         eval_real = [tr.sample_clean_mixture(config, 2000, eval_rng)]
@@ -238,7 +237,7 @@ class TestSteps:
         frozen_d = nn.MlpParams(
             layers=[nn.Layer(np.array([[3.0], [0.0]]), np.zeros(1), "sigmoid")]
         )
-        g_state = nn.init_adam(g_params, **asdict(config.g_adam))
+        g_state = nn.init_adam(g_params, config.g_adam)
 
         eval_z = np.random.default_rng(500).standard_normal((2000, 2))
 
@@ -366,15 +365,17 @@ class TestArtifacts:
     def test_run_outputs_land_on_disk(self, tmp_path):
         config = _tiny_config()
         result = tr.train(config, out_dir=tmp_path)
-        for name in (
+        names = (
             "metrics.csv",
             "generator.json",
             "generator.bin",
             "discriminator.json",
             "discriminator.bin",
             "samples.csv",
-        ):
+        )
+        for name in names:
             assert (tmp_path / name).exists(), f"missing {name}"
+        assert [p.name for p in result.outputs] == list(names)
 
         loaded = nn.load_checkpoint(tmp_path / "generator.json")
         for la, lb in zip(loaded.layers, result.generator.layers):
@@ -791,8 +792,8 @@ class TestStepContract:
 
         rng = np.random.default_rng(config.seed)
         g_params, d_params = tr.build_models(config, rng)
-        g_state = nn.init_adam(g_params, **asdict(config.g_adam))
-        d_state = nn.init_adam(d_params, **asdict(config.d_adam))
+        g_state = nn.init_adam(g_params, config.g_adam)
+        d_state = nn.init_adam(d_params, config.d_adam)
         expected = []
         for step in range(1, config.epochs * config.steps_per_epoch + 1):
             for _ in range(config.k):
@@ -983,7 +984,7 @@ class TestDiscriminatorClosure:
         g_params, d_params = tr.build_models(config, rng)
         g_params.layers[-1].weights[:] = 0.0  # G(z) = 1 for every z
         g_params.layers[-1].biases[:] = 1.0
-        d_state = nn.init_adam(d_params, **asdict(config.d_adam))
+        d_state = nn.init_adam(d_params, config.d_adam)
         support, d_star = oracle.optimal_discriminator(inst)
         total = np.zeros(len(d_star))
         for step in range(self.STEPS):
