@@ -25,6 +25,7 @@ from .distributions import (
     GaussianMixture,
     MixtureComponent,
     Ring,
+    format_samples,
     from_json,
     load_samples,
     sample_dataset,
@@ -215,8 +216,7 @@ def cmd_sample(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    rows = sample_dataset(spec, args.n, rng)
-    lines = "\n".join(" ".join(repr(float(v)) for v in row) for row in rows) + "\n"
+    lines = format_samples(sample_dataset(spec, args.n, rng))
     if out:
         out.write_text(lines)
     else:

@@ -434,6 +434,13 @@ def load_samples(path) -> np.ndarray:
     return samples
 
 
+def format_samples(rows) -> str:
+    """The text ``load_samples`` reads back bit for bit: one line per row, each
+    coordinate as ``repr(float)``, separated by single spaces, no header."""
+    rows = np.asarray(rows, dtype=np.float64).tolist()
+    return "".join(" ".join(map(repr, row)) + "\n" for row in rows)
+
+
 DatasetSpec = Union[GaussianMixture, Ring, DiscreteDist, FileDataset]
 
 

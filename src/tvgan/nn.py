@@ -533,18 +533,20 @@ def save_checkpoint(params: MlpParams, manifest_path) -> Path:
 
 def load_checkpoint(manifest_path) -> MlpParams:
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format in {manifest_path}")
     try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError("unrecognized checkpoint format")
         checkpoint = from_json(_CheckpointFile, manifest)
-    except ValueError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are two
         raise ValueError(f"{manifest_path}: {exc}") from exc
     blob = (manifest_path.parent / checkpoint.weights_file).read_bytes()
     specs = checkpoint.layers
     shapes = [(s.fan_in, s.fan_out) for s in specs]
     size = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
     if size != len(blob):
-        raise ValueError(f"checkpoint blob has {len(blob)} bytes, manifest accounts for {size}")
+        raise ValueError(
+            f"{manifest_path}: checkpoint blob has {len(blob)} bytes, manifest accounts for {size}"
+        )
     views = _Layout(shapes).views(np.frombuffer(blob, dtype="<f8"))
     return MlpParams([Layer(w, b, s.activation) for (w, b), s in zip(views, specs)])

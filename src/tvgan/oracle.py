@@ -317,15 +317,6 @@ class Inequality:
 CHAIN_CSV_HEADER = "check,lhs,rhs,slack,holds"
 
 
-@dataclass
-class ChainReport:
-    inequalities: list[Inequality]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(ineq.holds for ineq in self.inequalities)
-
-
 def _ineq(name: str, lhs: float, rhs: float, tol: float = INEQ_TOL) -> Inequality:
     return Inequality(name=name, lhs=float(lhs), rhs=float(rhs), holds=lhs <= rhs + tol)
 
@@ -343,7 +334,7 @@ def _check_delta(inst: GameInstance, delta: float) -> None:
         raise ValueError(f"every channel gamma must be <= delta={delta}, got {gammas}")
 
 
-def mixture_chain_check(inst: GameInstance, delta: float) -> ChainReport:
+def mixture_chain_check(inst: GameInstance, delta: float) -> list[Inequality]:
     """Verify the full divergence chain from per-part budgets to the generator.
 
     Exact discrete computation of, in order: per-part TV within the budget,
@@ -363,7 +354,7 @@ def mixture_chain_check(inst: GameInstance, delta: float) -> ChainReport:
     sqrt_total = np.sqrt(_jsd_arrays(*_on_union(s.clean_mixture, s.p_g)))
     sqrt_parts = np.sqrt(inst.generator_jsd) + np.sqrt(inst.mixture_jsd)
     checks.append(_ineq("sqrt_jsd_triangle", sqrt_total, sqrt_parts))
-    return ChainReport(checks)
+    return checks
 
 
 def instance_checks(
@@ -387,5 +378,5 @@ def instance_checks(
         gap = abs(optimal_value(inst) - (-LOG4 + 2.0 * inst.generator_jsd))
         checks.append(_ineq("value_identity", gap, VALUE_TOL, tol=0.0))
     if which in ("chain", "all"):
-        checks.extend(mixture_chain_check(inst, delta).inequalities)
+        checks.extend(mixture_chain_check(inst, delta))
     return checks

@@ -30,6 +30,7 @@ from .distributions import (
     budget,
     check_parts,
     dataset_dimension,
+    format_samples,
     from_json,
     inject_noise,
     sample_dataset,
@@ -424,14 +425,11 @@ def write_metrics_csv(metrics: list[MetricsRecord], path: str | Path) -> Path:
     return path
 
 
+# Writes ``format_samples``' text, not CSV. The name stays because the benchmark's
+# tracer (perfbench/tracing.py) looks it up.
 def write_samples_csv(samples: np.ndarray, path: str | Path) -> Path:
     path = Path(path)
-    samples = np.asarray(samples)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(samples.shape[1])])
-        for row in samples:
-            writer.writerow([repr(float(v)) for v in row])
+    path.write_text(format_samples(samples))
     return path
 
 
@@ -447,7 +445,7 @@ def write_run_outputs(
     for name, params in (("generator", result.generator), ("discriminator", result.discriminator)):
         written += [nn.save_checkpoint(params, out / f"{name}.json"), out / f"{name}.bin"]
     samples = generator_sample(result.generator, config.latent, config.samples_out, rng)
-    written.append(write_samples_csv(samples, out / "samples.csv"))
+    written.append(write_samples_csv(samples, out / "samples.txt"))
     return written
 
 

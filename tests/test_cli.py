@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tvgan import cli
-from tvgan.distributions import DatasetSpec, from_json, to_json
+from tvgan.distributions import DatasetSpec, from_json, load_samples, to_json
 from tvgan.oracle import GameInstance
 from tvgan.training import TrainConfig
 
@@ -191,7 +191,7 @@ class TestTrainCommand:
             "generator.bin",
             "discriminator.json",
             "discriminator.bin",
-            "samples.csv",
+            "samples.txt",
         ):
             assert (out / name).exists(), f"missing {name}"
 
@@ -230,7 +230,7 @@ class TestTrainCommand:
             "generator.bin",
             "generator.json",
             "metrics.csv",
-            "samples.csv",
+            "samples.txt",
         ]
         assert (out / "notes.txt").read_text() == "not written by the run\n"
 
@@ -252,7 +252,7 @@ class TestTrainCommand:
         cli.main(["train", "--config", str(config), "--out", str(out_b)])
         capsys.readouterr()
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
-        assert (out_a / "samples.csv").read_bytes() == (out_b / "samples.csv").read_bytes()
+        assert (out_a / "samples.txt").read_bytes() == (out_b / "samples.txt").read_bytes()
 
     def test_zero_epochs_writes_header_only_metrics(self, tmp_path, capsys):
         config = _write_config(tmp_path, epochs=0)
@@ -652,6 +652,19 @@ class TestSampleFiles:
         drawn = np.loadtxt(tmp_path / "drawn.txt", ndmin=2)
         assert {tuple(r) for r in drawn} <= {(0.5, 1.5), (2.5, 3.5)}
         capsys.readouterr()
+
+    def test_a_runs_samples_feed_divergence_and_a_file_dataset(self, tmp_path, capsys):
+        source = tmp_path / "source"
+        assert cli.main(["train", "--config", str(_write_config(tmp_path)), "--out", str(source)]) == 0
+        rows = source / "samples.txt"
+        capsys.readouterr()
+        assert cli.main(["divergence", str(rows), str(rows)]) == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[0]) == 0.0
+        for command in ("train", "sample"):
+            assert cli.main(self._argv(tmp_path, command, rows)) == 0
+        capsys.readouterr()
+        drawn = load_samples(tmp_path / "drawn.txt")
+        assert {tuple(r) for r in drawn.tolist()} <= {tuple(r) for r in load_samples(rows).tolist()}
 
 
 class TestDivergenceCommand:

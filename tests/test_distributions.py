@@ -475,6 +475,29 @@ class TestDatasets:
         with pytest.raises(FileNotFoundError):
             spec.load()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[-0.0, 5e-324], [1.797e308, -1.797e308], [0.1, 1 / 3]],
+            [[-0.0], [5e-324], [-1.797e308]],
+            [[1.797e308, -0.0, 2.5e-300]],
+        ],
+        ids=["extremes", "one-column", "one-row"],
+    )
+    def test_formatted_samples_load_back_bit_for_bit(self, tmp_path, rows):
+        rows = np.array(rows)
+        path = tmp_path / "rows.txt"
+        path.write_text(dist.format_samples(rows))
+        loaded = dist.load_samples(path)
+        assert loaded.shape == rows.shape and loaded.tobytes() == rows.tobytes()
+
+    def test_no_rows_format_to_an_empty_file_that_is_refused(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_text(dist.format_samples(np.empty((0, 2))))
+        assert path.read_bytes() == b""
+        with pytest.raises(ValueError, match="rows.txt: no samples"):
+            dist.load_samples(path)
+
     def test_mixture_weights_validated(self):
         with pytest.raises(ValueError):
             dist.GaussianMixture(

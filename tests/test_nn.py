@@ -895,6 +895,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: {message}"):
             nn.load_checkpoint(manifest)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"{bad", r"Expecting property name"),
+            (b"\xff{}", r"'utf-8' codec can't decode byte 0xff"),
+            (b'{"format": "other"}', r"unrecognized checkpoint format$"),
+        ],
+        ids=["not-json", "not-utf8", "format-tag"],
+    )
+    def test_unreadable_manifest_is_refused_naming_it(self, tmp_path, text, message):
+        manifest = tmp_path / "net.json"
+        manifest.write_bytes(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: {message}"):
+            nn.load_checkpoint(manifest)
+
 
 class TestFlatLayout:
     def test_layer_arrays_are_views_of_one_vector(self):

@@ -333,11 +333,11 @@ class TestChainCheck:
     def test_zero_budget_chain_is_tight(self):
         p = _law([0.0, 1.0], [0.5, 0.5])
         inst = _single_part(p, p)
-        report = oracle.mixture_chain_check(inst, delta=0.0)
-        assert report.all_hold
-        names = {c.name for c in report.inequalities}
+        checks = oracle.mixture_chain_check(inst, delta=0.0)
+        assert all(c.holds for c in checks)
+        names = {c.name for c in checks}
         assert names == self.CHECK_NAMES | {"part0_tv_budget"}
-        by_name = {c.name: c for c in report.inequalities}
+        by_name = {c.name: c for c in checks}
         assert by_name["part0_tv_budget"].lhs == 0.0
         assert by_name["weighted_tv_budget"].lhs == 0.0
 
@@ -355,9 +355,9 @@ class TestChainCheck:
             [dist.DatasetPart(part_a, 0.5, noises[0]), dist.DatasetPart(part_b, 0.5, noises[1])],
             p_g=_law([0.0, 20.0], [0.5, 0.5]),
         )
-        report = oracle.mixture_chain_check(inst, delta=0.5)
-        assert report.all_hold
-        by_name = {c.name: c for c in report.inequalities}
+        checks = oracle.mixture_chain_check(inst, delta=0.5)
+        assert all(c.holds for c in checks)
+        by_name = {c.name: c for c in checks}
         assert by_name["part0_tv_budget"].lhs == pytest.approx(0.3, abs=1e-15)
         assert by_name["part1_tv_budget"].lhs == pytest.approx(0.25, abs=1e-15)
         assert by_name["weighted_tv_budget"].lhs == pytest.approx(0.275, abs=1e-15)
@@ -377,12 +377,12 @@ class TestChainCheck:
         for trial in range(100):
             inst = _random_instance(rng)
             delta = dist.budget(inst.parts)
-            report = oracle.mixture_chain_check(inst, delta)
-            assert report.all_hold, (
+            checks = oracle.mixture_chain_check(inst, delta)
+            assert all(c.holds for c in checks), (
                 f"trial {trial}: "
                 + "; ".join(
                     f"{c.name}: {c.lhs} vs {c.rhs}"
-                    for c in report.inequalities
+                    for c in checks
                     if not c.holds
                 )
             )
@@ -390,9 +390,9 @@ class TestChainCheck:
     def test_csv_rows_match_header(self):
         p = _law([0.0], [1.0])
         inst = _single_part(p, p)
-        report = oracle.mixture_chain_check(inst, delta=0.0)
+        checks = oracle.mixture_chain_check(inst, delta=0.0)
         n_cols = len(oracle.CHAIN_CSV_HEADER.split(","))
-        for check in report.inequalities:
+        for check in checks:
             row = check.csv_row()
             assert len(row.split(",")) == n_cols
             assert row.startswith(check.name)
@@ -425,7 +425,7 @@ class TestInstanceChecks:
                 - (-oracle.LOG4 + 2.0 * jsd_discrete(_noised_mixture(again), again.p_g))
             )
             want.append(oracle.Inequality("value_identity", gap, oracle.VALUE_TOL, gap <= oracle.VALUE_TOL))
-            want += oracle.mixture_chain_check(_fresh(inst), delta).inequalities
+            want += oracle.mixture_chain_check(_fresh(inst), delta)
             assert len(rows) == len(want) == 2 * parts + 5
             for row, ref in zip(rows, want):
                 assert (row.lhs, row.rhs, row.holds) == (ref.lhs, ref.rhs, ref.holds), (

@@ -371,7 +371,7 @@ class TestArtifacts:
             "generator.bin",
             "discriminator.json",
             "discriminator.bin",
-            "samples.csv",
+            "samples.txt",
         )
         for name in names:
             assert (tmp_path / name).exists(), f"missing {name}"
@@ -382,10 +382,7 @@ class TestArtifacts:
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
 
-        with (tmp_path / "samples.csv").open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x0", "x1"]
-        assert len(rows) - 1 == config.samples_out
+        assert dist.load_samples(tmp_path / "samples.txt").shape == (config.samples_out, 2)
 
         # Cells written by the live loop must be plain parseable numbers and
         # recover the in-memory records exactly.
