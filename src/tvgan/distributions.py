@@ -383,6 +383,10 @@ class GaussianMixture:
         self._stds = np.sqrt(np.stack([c.cov_diag for c in self.components]))
         self._cdf = _categorical_cdf(weights / weights.sum())
 
+    @property
+    def dimension(self) -> int:
+        return self._means.shape[1]
+
 
 @dataclass
 class Ring:
@@ -390,6 +394,7 @@ class Ring:
 
     radius: float
     noise_std: float = 0.0
+    dimension = 2  # unannotated, so neither a field nor a JSON key
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:  # also refuses nan
@@ -413,6 +418,10 @@ class FileDataset:
         if self._samples is None:
             self._samples = load_samples(self.path)
         return self._samples
+
+    @property
+    def dimension(self) -> int:
+        return self.load().shape[1]
 
 
 def load_samples(path) -> np.ndarray:
@@ -442,18 +451,6 @@ def format_samples(rows) -> str:
 
 
 DatasetSpec = Union[GaussianMixture, Ring, DiscreteDist, FileDataset]
-
-
-def dataset_dimension(spec: DatasetSpec) -> int:
-    if isinstance(spec, GaussianMixture):
-        return spec.components[0].mean.shape[0]
-    if isinstance(spec, Ring):
-        return 2
-    if isinstance(spec, DiscreteDist):
-        return spec.dimension
-    if isinstance(spec, FileDataset):
-        return spec.load().shape[1]
-    raise TypeError(f"not a dataset spec: {type(spec).__name__}")
 
 
 def sample_dataset(spec: DatasetSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -496,7 +493,7 @@ def check_parts(parts: list[DatasetPart], name: str, noise: str, exact: bool = F
     alphas = np.array([part.alpha for part in parts], dtype=np.float64)
     if not ((alphas > 0).all() and abs(alphas.sum() - 1.0) <= PROB_TOL):  # also refuses nan
         raise ValueError(f"the alphas of {name} must be positive and sum to 1, got {alphas.tolist()}")
-    dims = {dataset_dimension(part.spec) for part in parts}
+    dims = {part.spec.dimension for part in parts}
     if len(dims) != 1:
         raise ValueError(f"the parts of {name} must share one dimension, got {sorted(dims)}")
     (dim,) = dims

@@ -502,6 +502,8 @@ class _LayerFile:
         for name in ("fan_in", "fan_out"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {', '.join(ACTIVATIONS)}, got {self.activation!r}")
 
 
 @dataclass
@@ -519,6 +521,11 @@ class _CheckpointFile:
         name = self.weights_file
         if name in ("", "..") or Path(name).name != name:
             raise ValueError(f"weights_file must be a bare file name, got {name!r}")
+        for i, (a, b) in enumerate(zip(self.layers, self.layers[1:]), start=1):
+            if b.fan_in != a.fan_out:
+                raise ValueError(
+                    f"layers[{i}].fan_in {b.fan_in} differs from layers[{i - 1}].fan_out {a.fan_out}"
+                )
 
 
 def save_checkpoint(params: MlpParams, manifest_path) -> Path:
@@ -540,7 +547,8 @@ def load_checkpoint(manifest_path) -> MlpParams:
         checkpoint = from_json(_CheckpointFile, manifest)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are two
         raise ValueError(f"{manifest_path}: {exc}") from exc
-    blob = (manifest_path.parent / checkpoint.weights_file).read_bytes()
+    blob_path = manifest_path.parent / checkpoint.weights_file
+    blob = blob_path.read_bytes()
     specs = checkpoint.layers
     shapes = [(s.fan_in, s.fan_out) for s in specs]
     size = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
@@ -548,5 +556,7 @@ def load_checkpoint(manifest_path) -> MlpParams:
         raise ValueError(
             f"{manifest_path}: checkpoint blob has {len(blob)} bytes, manifest accounts for {size}"
         )
-    views = _Layout(shapes).views(np.frombuffer(blob, dtype="<f8"))
-    return MlpParams([Layer(w, b, s.activation) for (w, b), s in zip(views, specs)])
+    flat, layout = np.frombuffer(blob, dtype="<f8"), _Layout(shapes)
+    if not np.isfinite(flat).all():
+        raise NonFiniteError(str(blob_path), layer=layout.first_non_finite_layer(flat))
+    return MlpParams([Layer(w, b, s.activation) for (w, b), s in zip(layout.views(flat), specs)])

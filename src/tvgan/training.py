@@ -6,7 +6,8 @@ dataset's spike-and-slab channel before scoring, so the discriminator learns
 to match the noised mixture while the clean data stays within ``gamma`` total
 variation of what it sees. Runs are fully deterministic given the config seed.
 
-The generator forward of each histogram eval runs on one worker thread while
+The generator forward of each histogram eval runs on the run's one worker
+thread (a one-thread ``ThreadPoolExecutor``, started at the first eval) while
 training goes on; its record is completed at the next eval or at the end of
 the run, so the numbers are the same as an inline eval's.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -29,7 +29,6 @@ from .distributions import (
     _draw_categorical,
     budget,
     check_parts,
-    dataset_dimension,
     format_samples,
     from_json,
     inject_noise,
@@ -116,7 +115,7 @@ class TrainConfig:
 
     @property
     def data_dim(self) -> int:
-        return dataset_dimension(self.datasets[0].spec)
+        return self.datasets[0].spec.dimension
 
     @property
     def steps_per_epoch(self) -> int:
@@ -309,38 +308,15 @@ class TrainResult:
     outputs: list[Path] = field(default_factory=list)  # the files ``train`` wrote, if any
 
 
-class _Eval:
-    """One histogram eval in flight: it draws the clean sample, then the latent
-    batch ``z``, and runs the generator forward ``nn.mlp_apply(g_params, z)`` on
-    a worker thread, which keeps ``z`` only until the forward returns.
-
-    The thread runs nothing else: the estimator stays on the calling thread,
-    where its Python-heavy binning does not contend with training for the GIL.
-    ``g_params`` is not copied; the pure steps never change it afterwards.
-    """
-
-    def __init__(self, index: int, config: TrainConfig, g_params: nn.MlpParams, rng: np.random.Generator):
-        self.index, self.data = index, sample_clean_mixture(config, config.eval_samples, rng)
-        z = sample_latent(config.latent, config.eval_samples, rng)
-        self._fake = self._error = None
-        self.thread = threading.Thread(target=self._forward, args=(g_params, z), name="tvgan-eval")
-        self.thread.start()
-
-    def _forward(self, g_params, z):
-        try:
-            self._fake = nn.mlp_apply(g_params, z)
-        except BaseException as exc:  # re-raised on the calling thread by ``finish``
-            self._error = exc
-
-    def finish(self, metrics: list[MetricsRecord], estimator: HistogramEstimator) -> None:
-        """Join the thread and fill in the estimates of record ``index``."""
-        self.thread.join()
-        if self._error is not None:
-            raise self._error
-        report = estimate_divergences(self.data, self._fake, estimator)
-        metrics[self.index] = replace(
-            metrics[self.index], tv_estimate=report.tv, jsd_estimate=report.jsd_nats
-        )
+def _fill_estimates(metrics: list[MetricsRecord], pending, estimator: HistogramEstimator) -> None:
+    """Fill in the estimates of the eval ``pending`` = (record index, clean
+    sample, future of the generator forward). ``future.result()`` waits for the
+    forward and re-raises its error here, on the calling thread."""
+    index, data, future = pending
+    # the estimator stays on the calling thread, where its Python-heavy
+    # binning does not contend with training for the GIL
+    report = estimate_divergences(data, future.result(), estimator)
+    metrics[index] = replace(metrics[index], tv_estimate=report.tv, jsd_estimate=report.jsd_nats)
 
 
 def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult:
@@ -353,20 +329,24 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
     final generator sample are written there at the end, and listed in the
     result's ``outputs``.
 
-    An eval draws its clean and latent samples at its step, then overlaps its
-    generator forward with the following steps (``_Eval``); at most one is in
-    flight, and its estimates are filled in at the next eval or after the
-    loop. An error on the worker thread is raised from there, and no thread
-    outlives the call.
+    An eval draws its clean and latent samples at its step, then submits its
+    generator forward to the run's one worker thread, which overlaps it with
+    the following steps; at most one is in flight, and its estimates are
+    filled in at the next eval or after the loop. The forward's future carries
+    its error, raised from there, and no thread outlives the call.
     """
+    # imported here, not at the top, where it would add ~5 ms to every import of this module
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(config.seed)
     g_params, d_params = build_models(config, rng)
     g_state = nn.init_adam(g_params, config.g_adam)
     d_state = nn.init_adam(d_params, config.d_adam)
     metrics: list[MetricsRecord] = []
-    pending: _Eval | None = None
+    pending = None  # the eval in flight: (record index, clean sample, future)
     step = 0
-    try:
+    # The worker thread starts at the first submit; leaving the block joins it.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tvgan-eval") as worker:
         for _ in range(config.epochs):
             for _ in range(config.steps_per_epoch):
                 stats = None
@@ -389,14 +369,15 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
                 )
                 if config.estimator is not None and step % config.eval_every == 0:
                     if pending is not None:
-                        pending.finish(metrics, config.estimator)
+                        _fill_estimates(metrics, pending, config.estimator)
                         pending = None  # its samples are freed before the next draws
-                    pending = _Eval(len(metrics) - 1, config, g_params, rng)
+                    data = sample_clean_mixture(config, config.eval_samples, rng)
+                    z = sample_latent(config.latent, config.eval_samples, rng)
+                    # g_params is not copied: the pure steps never change it afterwards
+                    pending = (len(metrics) - 1, data, worker.submit(nn.mlp_apply, g_params, z))
+                    del data, z  # the worker holds z only until the forward returns
         if pending is not None:
-            pending.finish(metrics, config.estimator)
-    finally:
-        if pending is not None:
-            pending.thread.join()
+            _fill_estimates(metrics, pending, config.estimator)
     result = TrainResult(g_params, d_params, metrics)
     if out_dir is not None:
         result.outputs = write_run_outputs(result, config, out_dir, rng)

@@ -415,6 +415,28 @@ class TestDatasets:
         x = dist.sample_dataset(spec, 25, np.random.default_rng(0))
         np.testing.assert_array_equal(x, np.tile([2.0, 3.0], (25, 1)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tmp: dist.GaussianMixture([dist.MixtureComponent(np.zeros(3), np.ones(3), 1.0)]),
+            lambda tmp: dist.Ring(radius=2.0, noise_std=0.1),
+            lambda tmp: dist.DiscreteDist(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
+            lambda tmp: dist.DiscreteDist(np.array([[0.0, 1.0, 2.0, 3.0]]), np.array([1.0])),
+            lambda tmp: dist.FileDataset(str(tmp / "rows.txt")),
+        ],
+        ids=["gaussian_mixture", "ring", "discrete-1d", "discrete-4d", "file"],
+    )
+    def test_dimension_is_the_width_of_the_samples(self, tmp_path, build):
+        (tmp_path / "rows.txt").write_text("1 2 3 4 5\n6 7 8 9 10\n")
+        spec = build(tmp_path)
+        x = dist.sample_dataset(spec, 5, np.random.default_rng(0))
+        assert spec.dimension == x.shape[1]
+
+    def test_ring_dimension_is_not_a_json_key(self):
+        assert dist.to_json(dist.Ring(radius=1.0)) == {"kind": "ring", "radius": 1.0, "noise_std": 0.0}
+        with pytest.raises(ValueError, match="dimension is not a known key"):
+            dist.from_json(dist.DatasetSpec, {"kind": "ring", "radius": 1.0, "dimension": 2})
+
     def test_noiseless_ring_lies_on_the_circle(self):
         spec = dist.Ring(radius=1.0, noise_std=0.0)
         x = dist.sample_dataset(spec, 500, np.random.default_rng(1))
@@ -457,7 +479,7 @@ class TestDatasets:
         path = tmp_path / "rows.txt"
         path.write_text("0.5 1.5\n2.5 3.5\n-1.0 0.0\n")
         spec = dist.FileDataset(str(path))
-        assert dist.dataset_dimension(spec) == 2
+        assert spec.dimension == 2
         x = dist.sample_dataset(spec, 40, np.random.default_rng(4))
         file_rows = {(0.5, 1.5), (2.5, 3.5), (-1.0, 0.0)}
         for row in x:

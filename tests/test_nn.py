@@ -882,9 +882,17 @@ class TestCheckpoint:
             (lambda m: m.update(weights_file="../net.bin"), r"weights_file must be a bare file name, got '\.\./net\.bin'$"),
             (lambda m: m.update(weights_file=".."), r"weights_file must be a bare file name, got '\.\.'$"),
             (lambda m: m.update(weights_file="/tmp/net.bin"), r"weights_file must be a bare file name, got '/tmp/net\.bin'$"),
+            (
+                lambda m: m["layers"][1].update(activation="softmax"),
+                r"layers\[1\]\.activation must be one of relu, tanh, sigmoid, identity, got 'softmax'$",
+            ),
+            (  # 1·3 + 3 + 6·1 + 1 = 13 floats, the blob's 2·3 + 3 + 3·1 + 1
+                lambda m: m["layers"][0].update(fan_in=1) or m["layers"][1].update(fan_in=6),
+                r"layers\[1\]\.fan_in 6 differs from layers\[0\]\.fan_out 3$",
+            ),
         ],
         ids=["fractional-fan-in", "string-fan-in", "zero-fan-out", "dtype", "no-weights-file",
-             "parent-dir", "dot-dot", "absolute"],
+             "parent-dir", "dot-dot", "absolute", "unknown-activation", "unchained-widths"],
     )
     def test_bad_manifest_is_refused_naming_the_key(self, tmp_path, edit, message):
         params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(9))
@@ -894,6 +902,17 @@ class TestCheckpoint:
         manifest.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: {message}"):
             nn.load_checkpoint(manifest)
+
+    def test_non_finite_blob_is_refused_naming_the_blob_and_layer(self, tmp_path):
+        params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(9))
+        manifest = nn.save_checkpoint(params, tmp_path / "net.json")
+        blob = bytearray((tmp_path / "net.bin").read_bytes())
+        blob[8 * 9 : 8 * 10] = struct.pack("<d", float("nan"))  # layer 1's first weight
+        (tmp_path / "net.bin").write_bytes(bytes(blob))
+        blob_name = re.escape(str(tmp_path / "net.bin"))
+        with pytest.raises(nn.NonFiniteError, match=f"^non-finite values in {blob_name} in layer 1$") as err:
+            nn.load_checkpoint(manifest)
+        assert err.value.layer == 1
 
     @pytest.mark.parametrize(
         "text, message",

@@ -826,6 +826,22 @@ class TestOverlappedEval:
         assert [r.step for r in result.metrics if r.tv_estimate is not None] == [2, 4, 6]
         assert threading.active_count() == threads
 
+    def test_every_eval_forward_of_a_run_runs_on_one_worker_thread(self, monkeypatch):
+        config = self._config()
+        apply = nn.mlp_apply
+        threads = []
+
+        def recorded(params, x):
+            if x.shape[0] == config.eval_samples:
+                threads.append(threading.current_thread())
+            return apply(params, x)
+
+        monkeypatch.setattr(nn, "mlp_apply", recorded)
+        tr.train(config)
+        assert len(threads) == 3
+        assert threads[0] is not threading.main_thread()
+        assert all(thread is threads[0] for thread in threads)
+
     def test_error_in_the_eval_forward_is_raised(self, monkeypatch):
         config = self._config()
         apply = nn.mlp_apply
