@@ -14,7 +14,8 @@ discards: ``training``'s generator objective takes only the input gradient
 through D and only the parameter gradients of G, and the discriminator
 objective skips every input gradient. ``adam_step`` copies the parameter
 vector and both moments once and updates the copies in place; it is the
-only Adam update, so each training step's one copy happens there.
+only Adam update and it only descends, so each training step's one copy
+happens there and an ascent passes the negated gradient.
 
 One layer loop, ``_layers``, runs both forwards. ``mlp_forward`` caches each
 layer's input and the output, and the backward pass reads each activation's
@@ -399,23 +400,15 @@ def _as_grad(params: MlpParams, grads) -> np.ndarray:
     return g
 
 
-def adam_step(
-    params: MlpParams,
-    grads: np.ndarray,
-    state: AdamState,
-    direction: str = "descend",
-) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update with the requested sign.
+def adam_step(params: MlpParams, grads: np.ndarray, state: AdamState) -> tuple[MlpParams, AdamState]:
+    """One bias-corrected Adam update down the gradient.
 
-    ``grads`` is a vector laid out like ``params.flat``. ``direction="ascend"``
-    moves parameters up the gradient (discriminator), ``"descend"`` moves them
-    down (generator). Returns fresh params and state and leaves its inputs
-    untouched: the parameter vector and both moments are copied once, and the
-    update runs on the copies in place.
+    ``grads`` is a vector laid out like ``params.flat``; to ascend an
+    objective, pass its negated gradient. Returns fresh params and state and
+    leaves its inputs untouched: the parameter vector and both moments are
+    copied once, and the update runs on the copies in place.
     """
     g = _as_grad(params, grads)
-    if direction not in ("ascend", "descend"):
-        raise ValueError(f"direction must be 'ascend' or 'descend', got {direction!r}")
     if not np.isfinite(g).all():
         raise NonFiniteError("gradients", layer=params._layout.first_non_finite_layer(g))
     cfg, t = state.config, state.step_count + 1
@@ -440,10 +433,7 @@ def adam_step(
     np.sqrt(den, out=den)
     den += cfg.epsilon
     step /= den
-    if direction == "ascend":
-        flat += step
-    else:
-        flat -= step
+    flat -= step
     if not np.isfinite(flat).all():
         raise NonFiniteError("layer parameters", layer=params._layout.first_non_finite_layer(flat))
     return params, state

@@ -242,8 +242,8 @@ def discriminator_step(
     """One ascent step: fresh noised minibatches per dataset, one latent batch.
 
     ``discriminator_objective`` on those batches, then ``nn.adam_step``
-    ascending its gradient; returns fresh params and state and leaves the
-    inputs untouched.
+    descending the negated gradient, which ascends the objective; returns
+    fresh params and state and leaves the inputs untouched.
     """
     real_batches = []
     for part in config.datasets:
@@ -256,7 +256,8 @@ def discriminator_step(
     value, grads, mean_real, mean_fake = discriminator_objective(d_params, real_batches, alphas, fake)
     if not np.isfinite(value):
         raise nn.NonFiniteError("discriminator objective")
-    d_params, d_state = nn.adam_step(d_params, grads, d_state, "ascend")
+    # the objective's gradient is a fresh vector, so it is negated in place
+    d_params, d_state = nn.adam_step(d_params, np.negative(grads, out=grads), d_state)
     return d_params, d_state, DiscStepStats(value, mean_real, mean_fake)
 
 
@@ -270,14 +271,14 @@ def generator_step(
     """One descent step on the generator with the discriminator frozen.
 
     ``generator_objective`` on a fresh latent batch, then ``nn.adam_step``
-    descending its gradient; returns fresh params and state and leaves the
-    inputs untouched.
+    on its gradient; returns fresh params and state and leaves the inputs
+    untouched.
     """
     z = sample_latent(config.latent, config.batch_size, rng)
     value, grads = generator_objective(g_params, d_params, z, config.generator_loss)
     if not np.isfinite(value):
         raise nn.NonFiniteError("generator objective")
-    g_params, g_state = nn.adam_step(g_params, grads, g_state, "descend")
+    g_params, g_state = nn.adam_step(g_params, grads, g_state)
     return g_params, g_state, value
 
 

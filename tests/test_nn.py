@@ -54,9 +54,9 @@ def _masked_sigmoid(pre):
     return np.clip(out, nn.LOG_EPS, 1.0 - nn.LOG_EPS)
 
 
-def _per_layer_adam(arrays, grads, m, v, t, state, sign):
-    """Adam written one array at a time over [W0, b0, W1, b1, ...]: the update
-    the whole-vector ``nn.adam_step`` must reproduce bit for bit."""
+def _per_layer_adam(arrays, grads, m, v, t, state):
+    """Adam descent written one array at a time over [W0, b0, W1, b1, ...]:
+    the update the whole-vector ``nn.adam_step`` must reproduce bit for bit."""
     out = []
     for value, grad, m_old, v_old in zip(arrays, grads, m, v):
         m_new = state.config.beta1 * m_old + (1.0 - state.config.beta1) * grad
@@ -64,7 +64,7 @@ def _per_layer_adam(arrays, grads, m, v, t, state, sign):
         step = state.config.lr * (m_new / (1.0 - state.config.beta1**t)) / (
             np.sqrt(v_new / (1.0 - state.config.beta2**t)) + state.config.epsilon
         )
-        out.append((value + sign * step, m_new, v_new))
+        out.append((value - step, m_new, v_new))
     return [list(col) for col in zip(*out)]
 
 
@@ -554,7 +554,7 @@ class TestAdam:
         params = _scalar_param(1.5)
         state = nn.init_adam(params, nn.AdamConfig(lr=0.1))
         grads = np.array([0.0, 0.0])  # [w, b]
-        new_params, _ = nn.adam_step(params, grads, state, direction="descend")
+        new_params, _ = nn.adam_step(params, grads, state)
         assert new_params.layers[0].weights[0, 0] == 1.5
 
     def test_first_step_size_equals_learning_rate(self):
@@ -564,7 +564,7 @@ class TestAdam:
         params = _scalar_param(0.0)
         state = nn.init_adam(params, nn.AdamConfig(lr=lr, epsilon=eps))
         grads = np.array([1.0, 0.0])  # [w, b]
-        new_params, new_state = nn.adam_step(params, grads, state, direction="descend")
+        new_params, new_state = nn.adam_step(params, grads, state)
         delta = new_params.layers[0].weights[0, 0]
         assert delta == pytest.approx(-lr / (1.0 + eps), rel=1e-12)
         assert new_state.step_count == 1
@@ -576,35 +576,14 @@ class TestAdam:
         for _ in range(200):
             w = params.layers[0].weights[0, 0]
             grads = np.array([2.0 * w, 0.0])  # [w, b]
-            params, state = nn.adam_step(params, grads, state, direction="descend")
+            params, state = nn.adam_step(params, grads, state)
         assert abs(params.layers[0].weights[0, 0]) < 0.1
-
-    def test_ascend_equals_descend_on_negated_gradient(self):
-        """Ascending on g and descending on -g give bit-identical trajectories."""
-        rng = np.random.default_rng(21)
-        params_a = nn.init_mlp([2, 4, 1], ["tanh", "identity"], rng)
-        params_b = params_a.copy()
-        state_a = nn.init_adam(params_a, nn.AdamConfig(lr=0.01))
-        state_b = nn.init_adam(params_b, nn.AdamConfig(lr=0.01))
-
-        grad_rng = np.random.default_rng(22)
-        for _ in range(10):
-            grads = np.concatenate(
-                [grad_rng.normal(size=a.shape).ravel() for a in _arrays(params_a.layers)]
-            )
-            neg = -grads
-            params_a, state_a = nn.adam_step(params_a, grads, state_a, direction="ascend")
-            params_b, state_b = nn.adam_step(params_b, neg, state_b, direction="descend")
-
-        for la, lb in zip(params_a.layers, params_b.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
-            np.testing.assert_array_equal(la.biases, lb.biases)
 
     def test_step_does_not_mutate_inputs(self):
         params = _scalar_param(2.0)
         state = nn.init_adam(params, nn.AdamConfig(lr=0.1))
         grads = np.array([1.0, 1.0])  # [w, b]
-        nn.adam_step(params, grads, state, direction="descend")
+        nn.adam_step(params, grads, state)
         assert params.layers[0].weights[0, 0] == 2.0
         assert state.step_count == 0
         np.testing.assert_array_equal(_split(params, state.first_moment)[0], np.zeros((1, 1)))
@@ -616,7 +595,7 @@ class TestAdam:
         grads = np.zeros_like(params.flat)
         _split(params, grads)[2][0, 0] = np.nan  # layer 1's weights
         with pytest.raises(nn.NonFiniteError) as err:
-            nn.adam_step(params, grads, state, direction="descend")
+            nn.adam_step(params, grads, state)
         assert err.value.layer == 1
 
     @pytest.mark.parametrize("shape", [(12,), (14,), (13, 1), (1, 13)], ids=["12", "14", "13x1", "1x13"])
@@ -649,14 +628,14 @@ class TestAdam:
         grads = np.zeros_like(params.flat)
         _split(params, grads)[5][0] = 1e308  # layer 2's biases
         with np.errstate(all="ignore"), pytest.raises(nn.NonFiniteError) as err:
-            nn.adam_step(params, grads, state, direction="descend")
+            nn.adam_step(params, grads, state)
         assert err.value.layer == 2
         assert "layer parameters" in str(err.value)
 
     def test_whole_vector_step_matches_per_layer_reference(self):
-        """Fifty random steps in both directions on a 3-layer net, with
-        gradients drawn per layer and as one vector: params and both moments
-        equal the per-layer reference bit for bit."""
+        """Fifty random steps on a 3-layer net, with gradients of random sign
+        drawn per layer and as one vector: params and both moments equal the
+        per-layer reference bit for bit."""
         rng = np.random.default_rng(50)
         params = nn.init_mlp([3, 7, 5, 2], ["tanh", "relu", "identity"], rng)
         state = nn.init_adam(params, nn.AdamConfig(lr=0.01, beta1=0.5, beta2=0.99, epsilon=1e-7))
@@ -664,15 +643,14 @@ class TestAdam:
         ref_m = [np.zeros_like(a) for a in ref]
         ref_v = [np.zeros_like(a) for a in ref]
         for t in range(1, 51):
-            direction = ("ascend", "descend")[int(rng.integers(2))]
+            sign = (1.0, -1.0)[int(rng.integers(2))]
             if t % 2:
                 grads = np.concatenate([rng.normal(size=a.shape).ravel() for a in _arrays(params.layers)])
             else:
                 grads = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=params.flat.size)
-            ref, ref_m, ref_v = _per_layer_adam(
-                ref, _split(params, grads), ref_m, ref_v, t, state, 1.0 if direction == "ascend" else -1.0
-            )
-            params, state = nn.adam_step(params, grads, state, direction=direction)
+            grads = sign * grads
+            ref, ref_m, ref_v = _per_layer_adam(ref, _split(params, grads), ref_m, ref_v, t, state)
+            params, state = nn.adam_step(params, grads, state)
             assert state.step_count == t
             for got, want in (
                 (_arrays(params.layers), ref),
@@ -687,12 +665,12 @@ class TestAdam:
         state = nn.init_adam(params, nn.AdamConfig(lr=0.05))
         for _ in range(3):  # non-zero moments
             grads = rng.normal(size=params.flat.size)
-            params, state = nn.adam_step(params, grads, state, direction="ascend")
+            params, state = nn.adam_step(params, grads, state)
         grads = rng.normal(size=params.flat.size)
         before = [a.copy() for a in _arrays(params.layers)]
         before += [v.copy() for v in (state.first_moment, state.second_moment, grads)]
         flat_before = params.flat.copy()
-        new_params, new_state = nn.adam_step(params, grads, state, direction="descend")
+        new_params, new_state = nn.adam_step(params, grads, state)
         after = _arrays(params.layers) + [state.first_moment, state.second_moment, grads]
         assert [x.tobytes() for x in before] == [x.tobytes() for x in after]
         assert params.flat.tobytes() == flat_before.tobytes()
@@ -708,13 +686,6 @@ class TestAdam:
         config = nn.AdamConfig(lr=0.01, beta1=0.5)
         assert nn.init_adam(params, config).config is config
         assert nn.init_adam(params).config == nn.AdamConfig(lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8)
-
-    def test_invalid_direction_rejected(self):
-        params = _scalar_param(0.0)
-        state = nn.init_adam(params)
-        grads = np.zeros_like(params.flat)
-        with pytest.raises(ValueError):
-            nn.adam_step(params, grads, state, direction="sideways")
 
 
 class TestGradCheck:

@@ -190,13 +190,40 @@ class TestSteps:
         for _ in range(100):
             value, grads, _, _ = tr.discriminator_objective(d_params, real, alphas, fake)
             values.append(value)
-            d_params, state = nn.adam_step(d_params, grads, state, direction="ascend")
+            d_params, state = nn.adam_step(d_params, -grads, state)
         final, _, _, _ = tr.discriminator_objective(d_params, real, alphas, fake)
         values.append(final)
 
         diffs = np.diff(values)
         assert np.sum(diffs >= 0) >= 95, f"only {np.sum(diffs >= 0)} increases"
         assert final > values[0]
+
+    def test_discriminator_step_descends_the_negated_objective_gradient(self):
+        """One D step is ``adam_step`` on minus ``discriminator_objective``'s
+        gradient at the step's own draws, bit for bit, from non-zero moments."""
+        config = _tiny_config(batch_size=32)
+        rng = np.random.default_rng(4)
+        g_params, d_params = tr.build_models(config, rng)
+        d_state = nn.init_adam(d_params, nn.AdamConfig(lr=1e-2))
+        for _ in range(2):
+            d_params, d_state, _ = tr.discriminator_step(d_params, d_state, g_params, config, rng)
+        seed = 5
+        got_params, got_state, stats = tr.discriminator_step(
+            d_params, d_state, g_params, config, np.random.default_rng(seed)
+        )
+
+        draws = np.random.default_rng(seed)
+        real = []
+        for part in config.datasets:
+            batch = dist.sample_dataset(part.spec, config.batch_size, draws)
+            real.append(dist.inject_noise(batch, part.noise, config.injection_mode, draws)[0])
+        fake = nn.mlp_apply(g_params, dist.sample_latent(config.latent, config.batch_size, draws))
+        alphas = [part.alpha for part in config.datasets]
+        value, grads, _, _ = tr.discriminator_objective(d_params, real, alphas, fake)
+        want_params, want_state = nn.adam_step(d_params, -grads, d_state)
+
+        assert stats.loss == value
+        assert _snapshot(got_params, got_state) == _snapshot(want_params, want_state)
 
     def test_discriminator_step_improves_held_out_objective(self):
         """Stochastic minibatch steps still raise the objective on a large
