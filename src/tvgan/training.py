@@ -6,7 +6,8 @@ dataset's spike-and-slab channel before scoring, so the discriminator learns
 to match the noised mixture while the clean data stays within ``gamma`` total
 variation of what it sees. Runs are fully deterministic given the config seed.
 
-The generator forward of each histogram eval runs on the run's one worker
+Each histogram eval draws from its own random stream, so evals never move
+the trained networks. Its generator forward runs on the run's one worker
 thread (a one-thread ``ThreadPoolExecutor``, started at the first eval) while
 training goes on; its record is completed at the next eval or at the end of
 the run, so the numbers are the same as an inline eval's.
@@ -57,7 +58,13 @@ def _safe_log(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TrainConfig:
-    """Every knob of the training procedure; one seed drives all randomness."""
+    """Every knob of the training procedure; one seed drives all randomness.
+
+    The networks, the loss columns of the metrics and the final sample depend
+    on the seed and the training fields only, not on ``estimator``,
+    ``eval_every`` or ``eval_samples``: training draws from
+    ``default_rng(seed)`` and the evals from child 0 of ``SeedSequence(seed)``.
+    """
 
     datasets: list[DatasetPart]
     latent: LatentPrior
@@ -142,6 +149,13 @@ class MetricsRecord:
 
 
 METRICS_CSV_HEADER = ["step", "d_loss", "g_loss", "d_real", "d_fake", "tv", "jsd"]
+
+
+def _child_rng(seed: int, child: int) -> np.random.Generator:
+    """A generator on child ``child`` of ``SeedSequence(seed)``, a stream
+    independent of the training stream ``default_rng(seed)``: child 0 feeds
+    ``train``'s evals and child 1 ``evaluate_budget``'s default."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[child])
 
 
 def build_models(config: TrainConfig, rng: np.random.Generator) -> tuple[nn.MlpParams, nn.MlpParams]:
@@ -330,16 +344,17 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
     final generator sample are written there at the end, and listed in the
     result's ``outputs``.
 
-    An eval draws its clean and latent samples at its step, then submits its
-    generator forward to the run's one worker thread, which overlaps it with
-    the following steps; at most one is in flight, and its estimates are
+    An eval draws its clean and latent samples at its step from child 0 of
+    ``SeedSequence(config.seed)``, never from the training stream, then
+    submits its generator forward to the run's one worker thread, which
+    overlaps it with the following steps; at most one is in flight, and its estimates are
     filled in at the next eval or after the loop. The forward's future carries
     its error, raised from there, and no thread outlives the call.
     """
     # imported here, not at the top, where it would add ~5 ms to every import of this module
     from concurrent.futures import ThreadPoolExecutor
 
-    rng = np.random.default_rng(config.seed)
+    rng, evals = np.random.default_rng(config.seed), _child_rng(config.seed, 0)
     g_params, d_params = build_models(config, rng)
     g_state = nn.init_adam(g_params, config.g_adam)
     d_state = nn.init_adam(d_params, config.d_adam)
@@ -372,8 +387,8 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
                     if pending is not None:
                         _fill_estimates(metrics, pending, config.estimator)
                         pending = None  # its samples are freed before the next draws
-                    data = sample_clean_mixture(config, config.eval_samples, rng)
-                    z = sample_latent(config.latent, config.eval_samples, rng)
+                    data = sample_clean_mixture(config, config.eval_samples, evals)
+                    z = sample_latent(config.latent, config.eval_samples, evals)
                     # g_params is not copied: the pure steps never change it afterwards
                     pending = (len(metrics) - 1, data, worker.submit(nn.mlp_apply, g_params, z))
                     del data, z  # the worker holds z only until the forward returns
@@ -456,12 +471,15 @@ def evaluate_budget(
 
     Compares generator samples to the clean mixture (not the noised one; the
     budget claim is about the original data) and soft-checks
-    ``jsd <= delta + BUDGET_MARGIN``.
+    ``jsd <= delta + BUDGET_MARGIN``. The default ``rng`` is child 1 of
+    ``SeedSequence(config.seed)``, a stream shared with neither the run's
+    training nor its evals; ``default_rng(config.seed)`` would restart the
+    training stream and replay the run's first draws.
     """
     if config.estimator is None:
         raise ValueError("config has no histogram estimator")
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        rng = _child_rng(config.seed, 1)
     data = sample_clean_mixture(config, n_eval, rng)
     fake = generator_sample(g_params, config.latent, n_eval, rng)
     report = estimate_divergences(data, fake, config.estimator)

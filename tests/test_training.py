@@ -358,6 +358,29 @@ class TestTrainLoop:
         for la, lb in zip(a.discriminator.layers, b.discriminator.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
 
+    def test_evals_do_not_move_the_run(self, tmp_path):
+        """The networks, the loss columns and the final sample are the same
+        without an estimator, at two eval cadences and at two eval sizes."""
+        est = HistogramEstimator(np.array([[-3.0, 3.0], [-3.0, 3.0]]), 8)
+        base = dict(epochs=2, k=2, total_samples_n=80, samples_out=20)
+        variants = (
+            dict(estimator=None),
+            dict(estimator=est, eval_every=1, eval_samples=200),
+            dict(estimator=est, eval_every=3, eval_samples=200),
+            dict(estimator=est, eval_every=3, eval_samples=700),
+        )
+        runs = [tr.train(_tiny_config(**base, **v), tmp_path / str(i)) for i, v in enumerate(variants)]
+        assert [sum(r.tv_estimate is not None for r in run.metrics) for run in runs] == [0, 10, 3, 3]
+        losses = [
+            [repr((r.step, r.d_loss, r.g_loss, r.d_real, r.d_fake)) for r in run.metrics] for run in runs
+        ]
+        samples = [(tmp_path / str(i) / "samples.txt").read_bytes() for i in range(len(runs))]
+        for i, run in enumerate(runs[1:], start=1):
+            assert run.generator.flat.tobytes() == runs[0].generator.flat.tobytes()
+            assert run.discriminator.flat.tobytes() == runs[0].discriminator.flat.tobytes()
+            assert losses[i] == losses[0] and len(losses[i]) == 10
+            assert samples[i] == samples[0]
+
     def test_zero_gamma_run_ignores_the_slab_entirely(self):
         """At gamma = 0 the slab is never sampled, so swapping it for a
         completely different one reproduces the run bit for bit; the loop
@@ -786,8 +809,9 @@ class TestStepContract:
         ],
     )
     def test_run_equals_a_loop_over_the_public_steps(self, generator_loss, evals):
-        """With evals, the reference evaluates inline at each eval step; the
-        run's overlapped evals must give the same records."""
+        """With evals, the reference evaluates inline at each eval step, drawing
+        from child 0 of the seed's ``SeedSequence``; the run's overlapped evals
+        must give the same records."""
         estimator = HistogramEstimator(np.array([[-3.0, 3.0], [-1.0, 3.0]]), 8) if evals else None
         config = _tiny_config(
             estimator=estimator,
@@ -815,6 +839,7 @@ class TestStepContract:
         result = tr.train(config)
 
         rng = np.random.default_rng(config.seed)
+        eval_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
         g_params, d_params = tr.build_models(config, rng)
         g_state = nn.init_adam(g_params, config.g_adam)
         d_state = nn.init_adam(d_params, config.d_adam)
@@ -825,8 +850,8 @@ class TestStepContract:
             g_params, g_state, g_loss = tr.generator_step(g_params, g_state, d_params, config, rng)
             record = tr.MetricsRecord(step, stats.loss, g_loss, stats.mean_real, stats.mean_fake)
             if evals and step % config.eval_every == 0:
-                data = tr.sample_clean_mixture(config, config.eval_samples, rng)
-                fake = tr.generator_sample(g_params, config.latent, config.eval_samples, rng)
+                data = tr.sample_clean_mixture(config, config.eval_samples, eval_rng)
+                fake = tr.generator_sample(g_params, config.latent, config.eval_samples, eval_rng)
                 report = estimate_divergences(data, fake, config.estimator)
                 record.tv_estimate, record.jsd_estimate = report.tv, report.jsd_nats
             expected.append(record)

@@ -5,7 +5,9 @@
 Each tree is a checkout of this repository (for example a ``git worktree``).
 On each, with one BLAS thread, it runs:
 
-- ``tvgan train`` on ``demos/configs/train.json --seed 7`` and on the config
+- ``tvgan train`` on ``demos/configs/train.json --seed 7``, on that config with
+  ``"estimator": null`` at seed 7 (the estimator-free path, which no eval
+  setting may move), and on the config
   ``perfbench/workloads.py::mixture_config(11, 60)``;
 - ``tvgan oracle --check all`` on ``demos/configs/oracle_instance.json`` and
   on every instance file the benchmark's ``oracle_mix`` writes for seeds 3 and 61;
@@ -52,6 +54,11 @@ def run(name, argv):
 
 run("train-demo", ["train", "--config", str(tree / "demos/configs/train.json"), "--seed", "7",
                    "--out", str(out / "train-demo")])
+config = out / "train-demo-no-estimator.json"
+demo = json.loads((tree / "demos/configs/train.json").read_text())
+config.write_text(json.dumps(dict(demo, estimator=None), indent=2) + "\n")
+run("train-demo-no-estimator", ["train", "--config", str(config), "--seed", "7",
+                                "--out", str(out / "train-demo-no-estimator")])
 config = out / "train-mixture.json"
 config.write_text(json.dumps(workloads.mixture_config(11, 60), indent=2) + "\n")
 run("train-mixture", ["train", "--config", str(config), "--out", str(out / "train-mixture")])
