@@ -59,7 +59,6 @@ from .oracle import (
     GameInstance,
     GridMinimum,
     Inequality,
-    channel_bound_check,
     game_value,
     grid_minimize,
     instance_checks,

@@ -506,6 +506,8 @@ class _CheckpointFile:
     layers: list[_LayerFile]
 
     def __post_init__(self):
+        if not self.layers:
+            raise ValueError("layers must not be empty")
         if self.dtype != "<f8":
             raise ValueError(f"dtype must be '<f8', got {self.dtype!r}")
         name = self.weights_file

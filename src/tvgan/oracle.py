@@ -32,7 +32,7 @@ from .distributions import (
     to_json,
 )
 from .divergence import _jsd_arrays, _tv_arrays
-from .divergence import jsd_discrete, tv_discrete  # noqa: F401 (oracle.jsd_discrete stays importable)
+from .divergence import tv_discrete
 
 LOG4 = float(np.log(4.0))
 

@@ -861,9 +861,10 @@ class TestCheckpoint:
                 lambda m: m["layers"][0].update(fan_in=1) or m["layers"][1].update(fan_in=6),
                 r"layers\[1\]\.fan_in 6 differs from layers\[0\]\.fan_out 3$",
             ),
+            (lambda m: m.update(layers=[]), r"layers must not be empty$"),
         ],
         ids=["fractional-fan-in", "string-fan-in", "zero-fan-out", "dtype", "no-weights-file",
-             "parent-dir", "dot-dot", "absolute", "unknown-activation", "unchained-widths"],
+             "parent-dir", "dot-dot", "absolute", "unknown-activation", "unchained-widths", "no-layers"],
     )
     def test_bad_manifest_is_refused_naming_the_key(self, tmp_path, edit, message):
         params = nn.init_mlp([2, 3, 1], ["tanh", "identity"], np.random.default_rng(9))

@@ -476,9 +476,9 @@ class TestInstanceChecks:
 
         inst = _instance_with_parts(np.random.default_rng(7), 2)
         want = oracle.optimal_value(_fresh(inst))
-        for module in (oracle, divergence):  # each module holds its own reference to both
-            for name in ("jsd_discrete", "_jsd_arrays"):
-                monkeypatch.setattr(module, name, refuse)
+        # oracle holds its own reference to the kernel, divergence to both
+        for module, name in ((oracle, "_jsd_arrays"), (divergence, "jsd_discrete"), (divergence, "_jsd_arrays")):
+            monkeypatch.setattr(module, name, refuse)
         assert oracle.optimal_value(inst) == want
 
 
