@@ -347,14 +347,15 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
     An eval draws its clean and latent samples at its step from child 0 of
     ``SeedSequence(config.seed)``, never from the training stream, then
     submits its generator forward to the run's one worker thread, which
-    overlaps it with the following steps; at most one is in flight, and its estimates are
-    filled in at the next eval or after the loop. The forward's future carries
-    its error, raised from there, and no thread outlives the call.
+    overlaps it with the following steps; at most one is in flight, and its
+    estimates are filled in at the next eval or after the loop. The forward's
+    future carries its error, raised from there, and no thread outlives the
+    call.
     """
     # imported here, not at the top, where it would add ~5 ms to every import of this module
     from concurrent.futures import ThreadPoolExecutor
 
-    rng, evals = np.random.default_rng(config.seed), _child_rng(config.seed, 0)
+    rng, eval_rng = np.random.default_rng(config.seed), _child_rng(config.seed, 0)
     g_params, d_params = build_models(config, rng)
     g_state = nn.init_adam(g_params, config.g_adam)
     d_state = nn.init_adam(d_params, config.d_adam)
@@ -387,8 +388,8 @@ def train(config: TrainConfig, out_dir: str | Path | None = None) -> TrainResult
                     if pending is not None:
                         _fill_estimates(metrics, pending, config.estimator)
                         pending = None  # its samples are freed before the next draws
-                    data = sample_clean_mixture(config, config.eval_samples, evals)
-                    z = sample_latent(config.latent, config.eval_samples, evals)
+                    data = sample_clean_mixture(config, config.eval_samples, eval_rng)
+                    z = sample_latent(config.latent, config.eval_samples, eval_rng)
                     # g_params is not copied: the pure steps never change it afterwards
                     pending = (len(metrics) - 1, data, worker.submit(nn.mlp_apply, g_params, z))
                     del data, z  # the worker holds z only until the forward returns
