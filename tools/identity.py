@@ -55,8 +55,8 @@ def run(name, argv):
 run("train-demo", ["train", "--config", str(tree / "demos/configs/train.json"), "--seed", "7",
                    "--out", str(out / "train-demo")])
 config = out / "train-demo-no-estimator.json"
-demo = json.loads((tree / "demos/configs/train.json").read_text())
-config.write_text(json.dumps(dict(demo, estimator=None), indent=2) + "\n")
+demo_config = json.loads((tree / "demos/configs/train.json").read_text())
+config.write_text(json.dumps(dict(demo_config, estimator=None), indent=2) + "\n")
 run("train-demo-no-estimator", ["train", "--config", str(config), "--seed", "7",
                                 "--out", str(out / "train-demo-no-estimator")])
 config = out / "train-mixture.json"
